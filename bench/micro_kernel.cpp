@@ -5,13 +5,16 @@
 /// plus a self-contained guard pass that measures the scalar / row_run /
 /// simd / avx512 backends head-to-head and writes BENCH_kernel.json.
 ///
-/// The guard is the regression fence for two ROADMAP items. The relative
-/// pass ("SIMD stencil kernel") requires the best vectorized backend to
-/// sustain >= 1.5x the scalar entry-list throughput at every epsilon factor
-/// >= 4. The blocked pass ("Cache-blocked kernels for large stencils")
-/// gates absolute MDPS and the blocked-vs-unblocked paired ratio in the
-/// large-stencil regime (eps >= 8) on a grid big enough that the input
-/// window leaves L1d. The process exits non-zero unless both fences hold.
+/// The guard has three fences. The relative pass ("SIMD stencil kernel")
+/// requires the best vectorized backend to sustain >= 1.5x the scalar
+/// entry-list throughput at every epsilon factor >= 4. The blocked pass
+/// ("Cache-blocked kernels for large stencils") gates absolute MDPS and the
+/// blocked-vs-unblocked paired ratio in the large-stencil regime (eps >= 8)
+/// on a grid big enough that the input window leaves L1d. The split-SD
+/// pass applies one SD as its per_direction interior + halo strips and
+/// gates avx512's split/whole MDPS ratio, which only holds when the narrow
+/// strips run at vector speed. The process exits non-zero unless all three
+/// fences hold.
 /// Set NLH_BENCH_KERNEL_JSON to redirect the report (default:
 /// ./BENCH_kernel.json).
 ///
@@ -24,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "dist/tiling.hpp"
 #include "nonlocal/grid2d.hpp"
 #include "nonlocal/influence.hpp"
 #include "nonlocal/kernel/backend.hpp"
@@ -141,16 +145,21 @@ BENCHMARK(BM_ManufacturedSource);
 
 namespace {
 
-/// Million DP updates per second for one backend, self-calibrating the
-/// repetition count to ~25 ms of measurement.
+/// Million DP updates per second for one backend applying `rects` (one
+/// kernel call each; default: the whole grid as one rect), self-calibrating
+/// the repetition count to ~25 ms of measurement.
 double measure_mdps(const nl::grid2d& grid, const nl::stencil_plan& plan,
                     const std::vector<double>& u, std::vector<double>& out,
-                    nl::kernel_backend backend) {
-  const nl::dp_rect all{0, grid.n(), 0, grid.n()};
+                    nl::kernel_backend backend,
+                    std::vector<nl::dp_rect> rects = {}) {
+  if (rects.empty()) rects.push_back({0, grid.n(), 0, grid.n()});
+  long long dps_per_rep = 0;
+  for (const auto& r : rects) dps_per_rep += r.area();
   auto apply = [&](int reps) {
     for (int r = 0; r < reps; ++r) {
-      nl::apply_nonlocal_operator_raw(u.data(), out.data(), grid.stride(),
-                                      grid.ghost(), plan, 1.0, all, backend);
+      for (const auto& rect : rects)
+        nl::apply_nonlocal_operator_raw(u.data(), out.data(), grid.stride(),
+                                        grid.ghost(), plan, 1.0, rect, backend);
       benchmark::DoNotOptimize(out.data());
     }
   };
@@ -164,7 +173,7 @@ double measure_mdps(const nl::grid2d& grid, const nl::stencil_plan& plan,
     if (elapsed >= 0.025 || reps > (1 << 24)) break;
     reps *= 2;
   }
-  const double dp = static_cast<double>(reps) * grid.n() * grid.n();
+  const double dp = static_cast<double>(reps) * static_cast<double>(dps_per_rep);
   return dp / elapsed / 1e6;
 }
 
@@ -305,8 +314,96 @@ bool run_blocked_guard(std::string& rows) {
   return pass;
 }
 
-/// Run both guard passes and write BENCH_kernel.json. The process exit code
-/// is the AND of the two fences.
+/// Narrow-rect fence: one SD whose eight neighbors all live on another
+/// locality, cut the way the per_direction schedule cuts it — the case-2
+/// interior plus every epsilon-wide case-1 strip, one kernel call each —
+/// against the same SD applied as one rect. The strips are eps columns or
+/// rows wide, so this is where a backend's narrow-column path shows.
+/// Every backend's split and whole MDPS are reported; avx512 (when the CPU
+/// runs it) is gated on the min of paired split/whole ratios, with floors
+/// well below the measured ratios (docs/kernels.md): 0.51-0.93 for the
+/// 64x64 SD at eps 8 (a scalar tail gave 0.10), 0.14-0.19 for the 8x8 SD
+/// at eps 2, where every strip is two DPs thin and the fixed cost of a
+/// kernel call on a 4-16 DP rect dominates.
+bool run_split_guard(std::string& rows) {
+  struct split_case {
+    int sd_size;
+    int eps_factor;
+    double required_ratio;
+  };
+  const split_case cases[] = {{64, 8, 0.35}, {8, 2, 0.08}};
+  const int pairs = 3;
+  const bool avx512 = nl::kernel_avx512_available();
+
+  bool pass = true;
+  std::printf("\nkernel guard, split-SD pass (per_direction case split, "
+              "all 8 neighbors remote):\n");
+  for (const auto& sc : cases) {
+    nl::grid2d grid(sc.sd_size, static_cast<double>(sc.eps_factor) / sc.sd_size);
+    nl::influence J;
+    nl::stencil st(grid, J);
+    nl::stencil_plan plan(st);
+    auto u = grid.make_field();
+    auto out = grid.make_field();
+    for (std::size_t i = 0; i < u.size(); ++i)
+      u[i] = 1e-3 * static_cast<double>(i % 101);
+
+    // 3x3 SDs, the center one on locality 0 and its ring on locality 1.
+    const nlh::dist::tiling t(3, 3, sc.sd_size, grid.ghost());
+    std::vector<int> owner(9, 1);
+    owner[4] = 0;
+    std::vector<nl::dp_rect> split{nlh::dist::compute_case_split(t, 4, owner).interior};
+    for (const auto& strip : nlh::dist::compute_fine_strips(t, 4, owner))
+      split.push_back(strip.rect);
+
+    char row[768];
+    int len = std::snprintf(row, sizeof(row),
+                            "    {\"sd_size\": %d, \"eps_factor\": %d, "
+                            "\"rects\": %zu",
+                            sc.sd_size, sc.eps_factor, split.size());
+    std::printf("  sd=%2d eps=%d (%zu rects):", sc.sd_size, sc.eps_factor,
+                split.size());
+    for (const auto b : {nl::kernel_backend::scalar, nl::kernel_backend::row_run,
+                         nl::kernel_backend::simd, nl::kernel_backend::avx512}) {
+      const double whole = measure_mdps(grid, plan, u, out, b);
+      const double parts = measure_mdps(grid, plan, u, out, b, split);
+      len += std::snprintf(row + len, sizeof(row) - static_cast<std::size_t>(len),
+                           ", \"%s_whole_mdps\": %.2f, \"%s_split_mdps\": %.2f",
+                           nl::kernel_backend_name(b), whole,
+                           nl::kernel_backend_name(b), parts);
+      std::printf("  %s %.1f/%.1f", nl::kernel_backend_name(b), parts, whole);
+    }
+
+    double min_ratio = 0.0;
+    if (avx512) {
+      for (int p = 0; p < pairs; ++p) {
+        const double whole =
+            measure_mdps(grid, plan, u, out, nl::kernel_backend::avx512);
+        const double parts =
+            measure_mdps(grid, plan, u, out, nl::kernel_backend::avx512, split);
+        const double ratio = parts / whole;
+        if (p == 0 || ratio < min_ratio) min_ratio = ratio;
+      }
+    }
+    const bool ok = !avx512 || min_ratio >= sc.required_ratio;
+    if (!ok) pass = false;
+    std::snprintf(row + len, sizeof(row) - static_cast<std::size_t>(len),
+                  ", \"avx512_split_vs_whole_min_paired_ratio\": %.3f, "
+                  "\"required_ratio\": %.2f, \"gated\": %s, \"pass\": %s}",
+                  min_ratio, sc.required_ratio, avx512 ? "true" : "false",
+                  ok ? "true" : "false");
+    if (!rows.empty()) rows += ",\n";
+    rows += row;
+    std::printf(" MDP/s split/whole\n    avx512 min paired split/whole %.2f "
+                "(need %.2f) %s\n",
+                min_ratio, sc.required_ratio,
+                avx512 ? (ok ? "ok" : "FAIL") : "not gated (no avx512)");
+  }
+  return pass;
+}
+
+/// Run the three guard passes and write BENCH_kernel.json. The process exit
+/// code is the AND of the fences.
 bool run_kernel_guard(const char* path) {
   std::string relative_rows;
   double min_best_speedup_ge4 = 0.0;
@@ -314,7 +411,10 @@ bool run_kernel_guard(const char* path) {
 
   std::string blocked_rows;
   const bool blocked_pass = run_blocked_guard(blocked_rows);
-  const bool pass = relative_pass && blocked_pass;
+
+  std::string split_rows;
+  const bool split_pass = run_split_guard(split_rows);
+  const bool pass = relative_pass && blocked_pass && split_pass;
 
   std::FILE* fp = std::fopen(path, "w");
   if (!fp) {
@@ -339,6 +439,11 @@ bool run_kernel_guard(const char* path) {
                "    \"pass\": %s,\n"
                "    \"results\": [\n%s\n    ]\n"
                "  },\n"
+               "  \"split_gate\": {\n"
+               "    \"paired_measurements\": 3,\n"
+               "    \"pass\": %s,\n"
+               "    \"results\": [\n%s\n    ]\n"
+               "  },\n"
                "  \"pass\": %s\n"
                "}\n",
                nl::kernel_simd_available() ? "true" : "false",
@@ -347,6 +452,7 @@ bool run_kernel_guard(const char* path) {
                nl::kernel_avx512_compiled_level(), min_best_speedup_ge4,
                relative_pass ? "true" : "false", relative_rows.c_str(),
                blocked_pass ? "true" : "false", blocked_rows.c_str(),
+               split_pass ? "true" : "false", split_rows.c_str(),
                pass ? "true" : "false");
   std::fclose(fp);
   std::printf("  guard %s -> %s\n", pass ? "PASS" : "FAIL", path);

@@ -102,7 +102,7 @@ bool fixed_point_lattice(const double* vals, std::size_t n,
     if (shift >= 62) return false;
     const std::int64_t lim = std::int64_t{1} << (62 - shift);
     if (q[i] >= lim || q[i] <= -lim) return false;
-    q[i] <<= shift;
+    q[i] *= std::int64_t{1} << shift;  // q may be negative: no left shift
   }
   return true;
 }
@@ -262,7 +262,7 @@ class delta_codec_impl final : public codec {
     const std::int64_t lim = std::int64_t{1} << (62 - shift);
     for (auto& v : q) {
       if (v >= lim || v <= -lim) return false;
-      v <<= shift;
+      v *= std::int64_t{1} << shift;  // v may be negative: no left shift
     }
     return true;
   }

@@ -7,13 +7,16 @@ void mailbox::deliver(int src, std::uint64_t tag, byte_buffer payload) {
   bool matched = false;
   {
     std::lock_guard lk(m_);
-    auto& waiters = waiting_[{src, tag}];
-    if (!waiters.empty()) {
-      to_fulfill = std::move(waiters.front());
-      waiters.pop_front();
+    const key k{src, tag};
+    // Ghost tags are unique per step, so a key's queue is usually used once:
+    // erase it the moment it empties or the maps grow a node per message.
+    if (auto it = waiting_.find(k); it != waiting_.end()) {
+      to_fulfill = std::move(it->second.front());
+      it->second.pop_front();
+      if (it->second.empty()) waiting_.erase(it);
       matched = true;
     } else {
-      arrived_[{src, tag}].push_back(std::move(payload));
+      arrived_[k].push_back(std::move(payload));
     }
   }
   // Fulfill outside the lock: the promise may run continuations inline that
@@ -28,13 +31,14 @@ amt::future<byte_buffer> mailbox::recv(int src, std::uint64_t tag) {
   auto fut = p.get_future();
   {
     std::lock_guard lk(m_);
-    auto it = arrived_.find({src, tag});
-    if (it != arrived_.end() && !it->second.empty()) {
+    const key k{src, tag};
+    if (auto it = arrived_.find(k); it != arrived_.end()) {
       ready = std::move(it->second.front());
       it->second.pop_front();
+      if (it->second.empty()) arrived_.erase(it);
       have = true;
     } else {
-      waiting_[{src, tag}].push_back(std::move(p));
+      waiting_[k].push_back(std::move(p));
     }
   }
   if (have) p.set_value(std::move(ready));
@@ -53,6 +57,11 @@ std::size_t mailbox::pending_receives() const {
   std::size_t n = 0;
   for (const auto& [k, q] : waiting_) n += q.size();
   return n;
+}
+
+std::size_t mailbox::tracked_keys() const {
+  std::lock_guard lk(m_);
+  return arrived_.size() + waiting_.size();
 }
 
 }  // namespace nlh::net

@@ -35,6 +35,11 @@ class mailbox {
   /// Number of parked receives not yet matched by a deliver (diagnostics).
   std::size_t pending_receives() const;
 
+  /// (src, tag) keys with parked messages or receives (diagnostics). A key
+  /// is dropped as soon as its last message or receive is matched, so this
+  /// is 0 whenever nothing is pending.
+  std::size_t tracked_keys() const;
+
  private:
   using key = std::pair<int, std::uint64_t>;
 

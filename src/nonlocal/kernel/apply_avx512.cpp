@@ -14,9 +14,15 @@
 /// run's entries by alignment class (e mod 8): two entries eight apart read
 /// input vectors shifted by exactly one zmm, so inside a class the loads
 /// rotate through registers and each steady-state step costs one fresh load
-/// plus one broadcast for eight (96-col body: twelve) FMAs. Every load this
-/// kernel performs lies inside the span the naive kernel reads — there are
-/// no speculative over-reads past the padded field.
+/// plus one broadcast for eight (96-col body: twelve) FMAs. Columns the
+/// 96/32-wide bodies leave over (the last 1-31 of a block — most of an
+/// SD's epsilon-wide halo strips) go through a masked narrow tile: four
+/// output rows x eight columns, one zmm accumulator per row, so four
+/// independent FMA chains share each weight broadcast; a 1-row tile takes
+/// the block's last 1-3 rows. Masked loads/stores cover the final 1-7
+/// columns. Every load this kernel performs lies inside the span the naive
+/// kernel reads — there are no speculative over-reads past the padded
+/// field.
 ///
 /// Bitwise contract: a DP's accumulation chain is
 ///   for each run (plan order):
@@ -24,14 +30,16 @@
 ///       for e = e8, e8+8, e8+16, ...:       // ascending within class
 ///         acc = fma(w[e], u[dj+e], acc)
 ///   out = c * fnmadd(wsum, u_center, acc)
-/// The 96-column body, the 32-column body and the scalar-FMA tail all walk
-/// that same chain, so a DP's bits never depend on which body computed it,
-/// on the rect shape, or on the block geometry — the partition-invariance
-/// property the distributed solver relies on. Note the class ordering means
-/// avx512 output is NOT bit-identical to the simd backend's natural-order
-/// chain; cross-backend agreement is ULP-bounded like scalar-vs-simd.
+/// The 96-column body, the 32-column body and every lane of the narrow
+/// tile walk that same chain, so a DP's bits never depend on which body
+/// computed it, on the rect shape, or on the block geometry — the
+/// partition-invariance property the distributed solver relies on. Note
+/// the class ordering means avx512 output is NOT bit-identical to the simd
+/// backend's natural-order chain; cross-backend agreement is ULP-bounded
+/// like scalar-vs-simd.
 ///
 
+#include <algorithm>
 #include <cstddef>
 
 #include "nonlocal/kernel/backend.hpp"
@@ -56,29 +64,6 @@ namespace nlh::nonlocal::kernel_detail {
 #if NLH_AVX512_LEVEL == 1
 
 namespace {
-
-/// Tail columns with scalar FMA intrinsics walking the same per-DP chain as
-/// the vector bodies: run order, then alignment class, then ascending
-/// within the class. A DP's bits must not depend on whether it fell in a
-/// vector body or the tail.
-inline void run_formula_tail(const double* urow, double* orow, int stride,
-                             const stencil_plan& plan, double c, double wsum,
-                             int j_begin, int j_end) {
-  const double* weights = plan.weights().data();
-  for (int j = j_begin; j < j_end; ++j) {
-    __m128d acc = _mm_setzero_pd();
-    for (const auto& r : plan.runs()) {
-      const double* s = urow + static_cast<std::ptrdiff_t>(r.di) * stride +
-                        r.dj_begin + j;
-      const double* w = weights + r.weight_index;
-      for (int e8 = 0; e8 < 8 && e8 < r.length; ++e8)
-        for (int e = e8; e < r.length; e += 8)
-          acc = _mm_fmadd_sd(_mm_load_sd(w + e), _mm_load_sd(s + e), acc);
-    }
-    acc = _mm_fnmadd_sd(_mm_set_sd(wsum), _mm_load_sd(urow + j), acc);
-    _mm_store_sd(orow + j, _mm_mul_sd(_mm_set_sd(c), acc));
-  }
-}
 
 // One FMA step of the register-blocked bodies: broadcast one weight, feed
 // every accumulator its rotated input vector.
@@ -113,6 +98,52 @@ inline void run_formula_tail(const double* urow, double* orow, int stride,
                                          vwsum,                              \
                                          _mm512_loadu_pd(urow + j + (off)),  \
                                          (acc))))
+
+/// Narrow tile: R output rows (starting at urow/orow, `stride` apart) x 8
+/// columns, one zmm accumulator per row (R = 4, or 1 for a block's last
+/// 1-3 rows). `m` selects the columns that exist — all eight, or the block's
+/// last 1-7 — and masks every load and the store, so absent lanes read and
+/// write nothing. The R chains are independent and share one weight
+/// broadcast per entry; each lane walks the class-ordered chain of the
+/// bodies. Named accumulators, not an array: GCC keeps an indexed array of
+/// vectors on the stack and would spill every FMA.
+template <int R>
+inline void narrow_tile(const double* urow, double* orow, int stride,
+                        const stencil_plan& plan, __m512d vc, __m512d vwsum,
+                        __mmask8 m) {
+  static_assert(R == 1 || R == 4, "narrow_tile: 4-row tiles, 1-row remainder");
+  const double* weights = plan.weights().data();
+  const std::ptrdiff_t s1 = stride;
+  __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
+  __m512d a2 = _mm512_setzero_pd(), a3 = _mm512_setzero_pd();
+  for (const auto& run : plan.runs()) {
+    const double* srow = urow + run.di * s1 + run.dj_begin;
+    const double* w = weights + run.weight_index;
+    const int len = run.length;
+    for (int e8 = 0; e8 < 8 && e8 < len; ++e8)
+      for (int e = e8; e < len; e += 8) {
+        const __m512d we = _mm512_set1_pd(w[e]);
+        const double* s = srow + e;
+        a0 = _mm512_fmadd_pd(we, _mm512_maskz_loadu_pd(m, s), a0);
+        if constexpr (R == 4) {
+          a1 = _mm512_fmadd_pd(we, _mm512_maskz_loadu_pd(m, s + s1), a1);
+          a2 = _mm512_fmadd_pd(we, _mm512_maskz_loadu_pd(m, s + 2 * s1), a2);
+          a3 = _mm512_fmadd_pd(we, _mm512_maskz_loadu_pd(m, s + 3 * s1), a3);
+        }
+      }
+  }
+  const auto finish = [&](__m512d acc, std::ptrdiff_t off) {
+    const __m512d center = _mm512_maskz_loadu_pd(m, urow + off);
+    _mm512_mask_storeu_pd(orow + off, m,
+                          _mm512_mul_pd(vc, _mm512_fnmadd_pd(vwsum, center, acc)));
+  };
+  finish(a0, 0);
+  if constexpr (R == 4) {
+    finish(a1, s1);
+    finish(a2, 2 * s1);
+    finish(a3, 3 * s1);
+  }
+}
 
 }  // namespace
 
@@ -221,7 +252,25 @@ void apply_avx512(const double* u, double* out, int stride, int ghost,
         NLH_AVX512_STORE(a2, 16);
         NLH_AVX512_STORE(a3, 24);
       }
-      run_formula_tail(urow, orow, stride, plan, c, wsum, j, blk.col_end);
+    }
+    // Narrow columns: whatever the bodies left in every row (the same span
+    // for each row of the block), eight at a time down the rows in 4-row
+    // tiles, then 1-row tiles for the last rows.
+    const int width = blk.col_end - blk.col_begin;
+    const int j_narrow = blk.col_begin + width / 96 * 96 + width % 96 / 32 * 32;
+    for (int j = j_narrow; j < blk.col_end; j += 8) {
+      const int cols = std::min(8, blk.col_end - j);
+      const auto m = static_cast<__mmask8>((1u << cols) - 1u);
+      const auto row_ptr = [&](int i) {
+        return static_cast<std::size_t>(i + ghost) * stride + ghost + j;
+      };
+      int i = blk.row_begin;
+      for (; i + 4 <= blk.row_end; i += 4)
+        narrow_tile<4>(u + row_ptr(i), out + row_ptr(i), stride, plan, vc,
+                       vwsum, m);
+      for (; i < blk.row_end; ++i)
+        narrow_tile<1>(u + row_ptr(i), out + row_ptr(i), stride, plan, vc,
+                       vwsum, m);
     }
   });
 }

@@ -45,14 +45,16 @@ config current_config() {
 
 /// Fixed-capacity event ring of one thread. `head` is the next write slot;
 /// once `total > capacity` the ring has wrapped and the oldest events live
-/// at `head`. The mutex serializes the owning writer against snapshot
-/// readers; writers from other threads never touch it.
+/// at `head`. The capacity is fixed when the ring registers, but `ev` is
+/// only allocated by the first record(): every pool worker names its ring
+/// whether or not tracing is on, and rings live until exit. The mutex
+/// serializes the owning writer against snapshot readers; writers from
+/// other threads never touch it.
 struct tracer::ring {
-  explicit ring(std::size_t capacity, std::uint32_t id) : tid(id) {
-    ev.resize(capacity);
-  }
+  ring(std::size_t cap, std::uint32_t id) : capacity(cap), tid(id) {}
   mutable std::mutex m;
-  std::vector<trace_event> ev;
+  std::vector<trace_event> ev;  ///< empty until the first record()
+  std::size_t capacity = 0;
   std::size_t head = 0;
   std::uint64_t total = 0;  ///< events ever recorded into this ring
   std::uint32_t tid = 0;
@@ -86,6 +88,7 @@ void tracer::record(const char* name, char phase, std::uint64_t arg,
                     std::int64_t ts_ns, std::int64_t dur_ns) {
   auto& r = local_ring();
   std::lock_guard<std::mutex> lk(r.m);
+  if (r.ev.empty()) r.ev.resize(r.capacity);
   auto& e = r.ev[r.head];
   e.name = name;
   e.ts_ns = ts_ns;
@@ -93,7 +96,7 @@ void tracer::record(const char* name, char phase, std::uint64_t arg,
   e.arg = arg;
   e.tid = r.tid;
   e.phase = phase;
-  r.head = (r.head + 1) % r.ev.size();
+  r.head = (r.head + 1) % r.capacity;
   ++r.total;
 }
 
@@ -112,7 +115,7 @@ std::vector<trace_event> tracer::snapshot() const {
   std::vector<trace_event> out;
   for (const auto& rp : rings) {
     std::lock_guard<std::mutex> lk(rp->m);
-    const std::size_t cap = rp->ev.size();
+    const std::size_t cap = rp->capacity;
     const std::size_t n = rp->total < cap ? static_cast<std::size_t>(rp->total) : cap;
     // Oldest first: a wrapped ring's oldest event sits at head.
     const std::size_t start = rp->total < cap ? 0 : rp->head;
@@ -140,10 +143,20 @@ std::uint64_t tracer::dropped() const {
   std::lock_guard<std::mutex> lk(rings_m_);
   for (const auto& rp : rings_) {
     std::lock_guard<std::mutex> rlk(rp->m);
-    const auto cap = static_cast<std::uint64_t>(rp->ev.size());
+    const auto cap = static_cast<std::uint64_t>(rp->capacity);
     if (rp->total > cap) lost += rp->total - cap;
   }
   return lost;
+}
+
+std::size_t tracer::event_storage_bytes() const {
+  std::size_t bytes = 0;
+  std::lock_guard<std::mutex> lk(rings_m_);
+  for (const auto& rp : rings_) {
+    std::lock_guard<std::mutex> rlk(rp->m);
+    bytes += rp->ev.capacity() * sizeof(trace_event);
+  }
+  return bytes;
 }
 
 void tracer::clear() {

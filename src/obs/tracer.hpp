@@ -6,7 +6,9 @@
 /// Every thread that records gets its own fixed-capacity ring of POD
 /// `trace_event`s, registered with the process-wide `tracer` singleton on
 /// first use and kept alive after the thread exits (a snapshot taken later
-/// still sees its events). Rings wrap silently — the newest
+/// still sees its events). A ring's capacity is fixed when it registers;
+/// its event storage is allocated by the first recorded event, so threads
+/// that only name themselves cost no storage. Rings wrap silently — the newest
 /// `config::ring_capacity` events per thread survive; `dropped()` counts
 /// the overwritten ones. Each ring is guarded by its own mutex, taken once
 /// per recorded event; the lock is uncontended except while a snapshot is
@@ -76,6 +78,10 @@ class tracer {
 
   /// Events lost to ring wraparound since construction / clear().
   std::uint64_t dropped() const;
+
+  /// Bytes of event storage allocated across all rings (diagnostics): 0
+  /// for rings that never recorded an event.
+  std::size_t event_storage_bytes() const;
 
   /// Drop all recorded events (rings stay registered; tids are kept).
   void clear();

@@ -9,12 +9,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
 #include "api/session.hpp"
 #include "dist/dist_solver.hpp"
+#include "nonlocal/influence.hpp"
 #include "nonlocal/kernel/backend.hpp"
+#include "nonlocal/problem.hpp"
 
 namespace api = nlh::api;
 namespace nl = nlh::nonlocal;
@@ -114,6 +118,54 @@ TEST(ScenarioRegistry, MaskAndWorkHooks) {
   // The horizontal crack at y = 0.25 crosses the second SD row.
   EXPECT_DOUBLE_EQ(work[4], 0.5);
   EXPECT_DOUBLE_EQ(work[12], 1.0);
+}
+
+TEST(ManufacturedScenario, SeparableFillsMatchPerDpFormulasBitwise) {
+  // fill_aux / source_into take the trig once per row and column; every
+  // value must still carry the bits of the per-DP manufactured_problem::w /
+  // dwdt path, on whole, strip and single-DP rects.
+  const auto bits = [](double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  const int n = 40;
+  nl::grid2d g(n, 4.0 / n);
+  nl::stencil st(g, nl::influence{});
+  nl::stencil_plan plan(st);
+  const double c = nl::influence{}.scaling_constant(2, 1.0, g.epsilon());
+  const api::scenario_context ctx{&g, &plan, c};
+  const api::manufactured_scenario scn;
+  const nl::manufactured_problem ref(g, st, c);
+
+  const nl::dp_rect rects[] = {
+      {0, n, 0, n}, {3, 17, 5, 6}, {0, 1, 0, n}, {11, 29, 31, n}, {20, 21, 20, 21}};
+  for (const double t : {0.0, 0.125, 0.3, 0.77, 1.9}) {
+    // w over the interior; the collar stays 0 as w is outside the square.
+    auto aux = g.make_field();
+    scn.fill_aux(ctx, t, {0, n, 0, n}, aux);
+    for (int i = -g.ghost(); i < n + g.ghost(); ++i)
+      for (int j = -g.ghost(); j < n + g.ghost(); ++j)
+        ASSERT_EQ(bits(aux[g.flat(i, j)]),
+                  bits(nl::manufactured_problem::w(t, g.x(j), g.y(i))))
+            << "w at t=" << t << " (" << i << ", " << j << ")";
+
+    for (const auto& rect : rects) {
+      auto part = g.make_field();
+      scn.fill_aux(ctx, t, rect, part);
+      auto got = g.make_field();
+      auto want = g.make_field();
+      scn.source_into(ctx, t, aux, rect, got);
+      ref.source_into(t, aux, want, rect);
+      for (int i = rect.row_begin; i < rect.row_end; ++i)
+        for (int j = rect.col_begin; j < rect.col_end; ++j) {
+          ASSERT_EQ(bits(part[g.flat(i, j)]), bits(aux[g.flat(i, j)]))
+              << "w at t=" << t << " (" << i << ", " << j << ")";
+          ASSERT_EQ(bits(got[g.flat(i, j)]), bits(want[g.flat(i, j)]))
+              << "source at t=" << t << " (" << i << ", " << j << ")";
+        }
+    }
+  }
 }
 
 // --------------------------------------------------------------- validation --

@@ -1,14 +1,16 @@
 // Tests for the vectorized kernel subsystem (src/nonlocal/kernel/): stencil
 // canonicalization, run compilation invariants, bitwise/ULP agreement of the
 // scalar / row_run / simd / avx512 backends across horizon factors,
-// non-square rects and rects touching the ghost border, and the blocked
-// execution plan (cache-model clamping, blocked == unblocked bitwise).
+// non-square rects and rects touching the ghost border, the blocked
+// execution plan (cache-model clamping, blocked == unblocked bitwise), and
+// the avx512 narrow tile against the documented per-DP chain.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "nonlocal/grid2d.hpp"
@@ -500,6 +502,82 @@ TEST(KernelBlocking, StripDecompositionInvariantUnderBlocking) {
       for (int j = 0; j < n; ++j)
         ASSERT_EQ(full[g.flat(i, j)], split[g.flat(i, j)])
             << nl::kernel_backend_name(b) << " at (" << i << ", " << j << ")";
+  }
+}
+
+TEST(KernelAvx512, NarrowRectsMatchWideRectAndClassOrderedChain) {
+  // The avx512 backend computes a block's last 1-31 columns in masked
+  // 8-column narrow tiles (4 rows, then 1 row at a time). Every DP of every narrow
+  // rect — each width 1..40 at each column offset mod 8, 1..9 rows, under
+  // the default and a tight block geometry — must carry the bits of (a) the
+  // same DP computed inside one wide rect (mostly the 96-column body) and
+  // (b) the documented per-DP chain, replayed here with scalar fma: runs
+  // in plan order, alignment class e mod 8, ascending within the class.
+  if (!nl::kernel_avx512_available()) GTEST_SKIP() << "CPU/build without AVX-512F";
+  const auto bits = [](double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  const int n = 104;
+  const double c = 1.3;
+  for (const int f : {2, 8}) {
+    nl::grid2d g(n, static_cast<double>(f) / n);
+    nl::stencil st(g, nl::influence{});
+    const auto u = random_field(g, 500 + static_cast<unsigned>(f));
+
+    // (b) the class-ordered reference chain.
+    nl::stencil_plan plan(st);
+    auto chain = g.make_field();
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j) {
+        double acc = 0.0;
+        for (const auto& r : plan.runs()) {
+          const double* w = plan.weights().data() + r.weight_index;
+          for (int e8 = 0; e8 < 8 && e8 < r.length; ++e8)
+            for (int e = e8; e < r.length; e += 8)
+              acc = std::fma(w[e], u[g.flat(i + r.di, j + r.dj_begin + e)], acc);
+        }
+        chain[g.flat(i, j)] = c * std::fma(-plan.weight_sum(), u[g.flat(i, j)], acc);
+      }
+
+    nl::stencil_plan tight(st);
+    nl::kernel_tuning t;
+    t.row_block = nl::kernel_min_row_block;
+    t.col_tile = nl::kernel_min_col_tile;
+    tight.set_tuning(t);
+    for (const auto* p : {&plan, &tight}) {
+      // (a) one wide rect over the whole interior.
+      const auto wide =
+          apply_backend(g, *p, c, u, {0, n, 0, n}, nl::kernel_backend::avx512);
+      for (int i = 0; i < n; ++i)
+        for (int j = 0; j < n; ++j)
+          ASSERT_EQ(bits(wide[g.flat(i, j)]), bits(chain[g.flat(i, j)]))
+              << "eps " << f << " wide rect at (" << i << ", " << j << ")";
+
+      auto got = g.make_field();  // zero again outside each rect after use
+      for (int width = 1; width <= 40; ++width)
+        for (int off = 0; off < 8; ++off)
+          for (int rows = 1; rows <= 9; ++rows) {
+            const int r0 = (width + 3 * off + rows) % (n - rows + 1);
+            const int c0 = 24 + off;  // crosses the 32-column tile boundary
+            const nl::dp_rect rect{r0, r0 + rows, c0, c0 + width};
+            nl::apply_nonlocal_operator_raw(u.data(), got.data(), g.stride(),
+                                            g.ghost(), *p, c, rect,
+                                            nl::kernel_backend::avx512);
+            // A tile's reach: its rows and eight columns on either side;
+            // the masked stores must leave all but the rect's DPs alone.
+            for (int i = std::max(r0 - 4, 0); i < std::min(r0 + rows + 4, n); ++i)
+              for (int j = c0 - 8; j < c0 + width + 8; ++j) {
+                const bool in = i >= rect.row_begin && i < rect.row_end &&
+                                j >= rect.col_begin && j < rect.col_end;
+                ASSERT_EQ(bits(got[g.flat(i, j)]), in ? bits(wide[g.flat(i, j)]) : 0u)
+                    << "eps " << f << " rect " << rows << "x" << width << " at col "
+                    << c0 << ": DP (" << i << ", " << j << ")";
+                got[g.flat(i, j)] = 0.0;
+              }
+          }
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -253,6 +254,46 @@ TEST(Mailbox, CrossThreadDelivery) {
   std::thread t([&] { mb.deliver(3, 42, make_payload(77)); });
   EXPECT_EQ(read_payload(f.get()), 77);
   t.join();
+}
+
+TEST(Mailbox, MatchedKeysLeaveNoTrace) {
+  // The distributed solver uses each ghost tag once, so every matched key
+  // must be forgotten — in either arrival order — or the mailbox grows a
+  // map node per message forever.
+  net::mailbox mb;
+  constexpr int kTags = 10000;
+  std::uint64_t sum = 0;
+  for (int t = 0; t < kTags; ++t) {
+    const auto tag = static_cast<std::uint64_t>(t);
+    auto f = mb.recv(t % 3, tag);  // recv first
+    mb.deliver(t % 3, tag, make_payload(t));
+    sum += static_cast<std::uint64_t>(read_payload(f.get()));
+  }
+  EXPECT_EQ(mb.tracked_keys(), 0u);
+  for (int t = 0; t < kTags; ++t) {
+    const auto tag = static_cast<std::uint64_t>(kTags + t);
+    mb.deliver(t % 3, tag, make_payload(t));  // deliver first
+    sum += static_cast<std::uint64_t>(read_payload(mb.recv(t % 3, tag).get()));
+  }
+  EXPECT_EQ(mb.tracked_keys(), 0u);
+  EXPECT_EQ(sum, 2ull * kTags * (kTags - 1) / 2);
+
+  // Partially drained keys stay tracked until their last entry matches.
+  mb.deliver(0, 1, make_payload(1));
+  mb.deliver(0, 1, make_payload(2));
+  auto w1 = mb.recv(1, 2);
+  auto w2 = mb.recv(1, 2);
+  EXPECT_EQ(mb.tracked_keys(), 2u);
+  EXPECT_EQ(read_payload(mb.recv(0, 1).get()), 1);
+  mb.deliver(1, 2, make_payload(3));
+  EXPECT_EQ(mb.tracked_keys(), 2u);
+  EXPECT_EQ(read_payload(mb.recv(0, 1).get()), 2);
+  mb.deliver(1, 2, make_payload(4));
+  EXPECT_EQ(read_payload(w1.get()), 3);
+  EXPECT_EQ(read_payload(w2.get()), 4);
+  EXPECT_EQ(mb.tracked_keys(), 0u);
+  EXPECT_EQ(mb.pending_messages(), 0u);
+  EXPECT_EQ(mb.pending_receives(), 0u);
 }
 
 // ------------------------------------------------------------ comm_world ----

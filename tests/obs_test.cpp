@@ -172,6 +172,44 @@ TEST_F(ObsTest, RingWrapsKeepingNewestAndCountsDropped) {
   EXPECT_EQ(obs::tracer::instance().dropped(), 24u);
 }
 
+TEST_F(ObsTest, NamedThreadsWithTracingOffAllocateNoEventStorage) {
+  // Pool workers name their rings whether or not tracing is on; a ring must
+  // not allocate its events until one is recorded.
+  auto& tr = obs::tracer::instance();
+  const auto before = tr.event_storage_bytes();
+  std::vector<std::thread> threads;
+  for (int k = 0; k < 64; ++k)
+    threads.emplace_back([k] {
+      obs::tracer::instance().set_thread_name("idle-" + std::to_string(k));
+    });
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(tr.event_storage_bytes(), before);
+  EXPECT_TRUE(tr.snapshot().empty());
+  EXPECT_EQ(tr.dropped(), 0u);
+}
+
+TEST_F(ObsTest, RingKeepsCapacityItRegisteredWith) {
+  // A ring registered (here: by naming its thread) at capacity 16 keeps it
+  // when configure() changes the capacity before its first event.
+  obs::configure(obs::config{/*ring_capacity=*/16});
+  std::atomic<int> stage{0};
+  std::thread t([&] {
+    obs::tracer::instance().set_thread_name("registered-at-16");
+    stage = 1;
+    while (stage.load() != 2) std::this_thread::yield();
+    for (std::uint64_t i = 0; i < 40; ++i) NLH_TRACE_INSTANT("test/cap", i);
+  });
+  while (stage.load() != 1) std::this_thread::yield();
+  obs::configure(obs::config{/*ring_capacity=*/64});
+  obs::set_tracing_enabled(true);
+  stage = 2;
+  t.join();
+  const auto events = named(obs::tracer::instance().snapshot(), "test/cap");
+  ASSERT_EQ(events.size(), 16u);
+  EXPECT_EQ(events.front().arg, 24u);
+  EXPECT_EQ(obs::tracer::instance().dropped(), 24u);
+}
+
 // ----------------------------------------------------------------- gating --
 
 TEST_F(ObsTest, DisabledTracingRecordsNothing) {
