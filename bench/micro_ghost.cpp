@@ -22,27 +22,31 @@ static void BM_StripPack(benchmark::State& state) {
   for (int i = 0; i < sd_size; ++i)
     for (int j = 0; j < sd_size; ++j) b.u()[b.flat(i, j)] = i + j;
   for (auto _ : state) {
-    auto strip = b.pack(t, dist::direction::east);
-    benchmark::DoNotOptimize(strip.data());
+    net::archive_writer w;  // a fresh message every time
+    b.pack(t, dist::direction::east, w);
+    auto buf = w.take();
+    benchmark::DoNotOptimize(buf.data());
   }
   state.SetBytesProcessed(state.iterations() * sd_size * ghost * 8);
 }
 BENCHMARK(BM_StripPack)->Arg(16)->Arg(50)->Arg(100)->Arg(200);
 
 static void BM_StripPackPooled(benchmark::State& state) {
-  // pack_into reuses the scratch vector's capacity: past the first
-  // iteration the pack path performs zero allocations (the ghost-strip
-  // pooling the dist_solver exchange uses) — compare against BM_StripPack.
+  // Packing into a recycled message buffer keeps its capacity: past the
+  // first iteration the pack path performs zero allocations (the pooled
+  // dist_solver exchange) — compare against BM_StripPack.
   const int sd_size = static_cast<int>(state.range(0));
   const int ghost = 8;
   dist::tiling t(2, 2, sd_size, ghost);
   dist::sd_block b(t, 0);
   for (int i = 0; i < sd_size; ++i)
     for (int j = 0; j < sd_size; ++j) b.u()[b.flat(i, j)] = i + j;
-  std::vector<double> strip;
+  net::byte_buffer buf;
   for (auto _ : state) {
-    b.pack_into(t, dist::direction::east, strip);
-    benchmark::DoNotOptimize(strip.data());
+    net::archive_writer w(std::move(buf));
+    b.pack(t, dist::direction::east, w);
+    buf = w.take();
+    benchmark::DoNotOptimize(buf.data());
   }
   state.SetBytesProcessed(state.iterations() * sd_size * ghost * 8);
 }
@@ -53,9 +57,12 @@ static void BM_StripUnpack(benchmark::State& state) {
   const int ghost = 8;
   dist::tiling t(2, 2, sd_size, ghost);
   dist::sd_block a(t, 0), b(t, 1);
-  const auto strip = a.pack(t, dist::direction::east);
+  net::archive_writer w;
+  a.pack(t, dist::direction::east, w);
+  const auto msg = w.take();
   for (auto _ : state) {
-    b.unpack(t, dist::direction::west, strip);
+    net::archive_reader r(msg);
+    b.unpack(t, dist::direction::west, r);
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * sd_size * ghost * 8);
@@ -72,10 +79,10 @@ static void BM_LocalFillVsSerializedPath(benchmark::State& state) {
       b.fill_from_local(t, dist::direction::west, a);
     } else {
       net::archive_writer w;
-      w.write(a.pack(t, dist::direction::east));
+      a.pack(t, dist::direction::east, w);
       const auto buf = w.take();
       net::archive_reader r(buf);
-      b.unpack(t, dist::direction::west, r.read_vector<double>());
+      b.unpack(t, dist::direction::west, r);
     }
     benchmark::ClobberMemory();
   }
@@ -84,34 +91,29 @@ static void BM_LocalFillVsSerializedPath(benchmark::State& state) {
 BENCHMARK(BM_LocalFillVsSerializedPath)->Arg(1)->Arg(0);
 
 static void BM_SerializedExchangeAllocVsPooled(benchmark::State& state) {
-  // The full serialized exchange (pack -> archive -> unpack), fresh
-  // allocations per message (Arg 0, the pre-pooling dist_solver path)
-  // versus the pooled path (Arg 1): strip scratch reused on both ends and
-  // the serialized byte buffer recirculated the way the receive side
-  // releases it back to the senders. The delta is pure allocator traffic —
-  // the ROADMAP ghost-strip-pooling item made measurable.
+  // The full serialized exchange (pack -> archive -> unpack) with a fresh
+  // message buffer each time (Arg 0) versus a recycled one (Arg 1), the way
+  // the receive side hands each message's buffer back to its sender. The
+  // delta is allocator traffic.
   const int sd_size = 50;
   dist::tiling t(1, 2, sd_size, 8);
   dist::sd_block a(t, 0), b(t, 1);
   const bool pooled = state.range(0) == 1;
-  std::vector<double> pack_scratch, unpack_scratch;
   net::byte_buffer recycled;
   for (auto _ : state) {
     if (pooled) {
-      a.pack_into(t, dist::direction::east, pack_scratch);
       net::archive_writer w(std::move(recycled));
-      w.write(pack_scratch);
+      a.pack(t, dist::direction::east, w);
       auto buf = w.take();
       net::archive_reader r(buf);
-      r.read_vector_into(unpack_scratch);
-      b.unpack(t, dist::direction::west, unpack_scratch);
+      b.unpack(t, dist::direction::west, r);
       recycled = std::move(buf);  // back to the pool
     } else {
       net::archive_writer w;
-      w.write(a.pack(t, dist::direction::east));
+      a.pack(t, dist::direction::east, w);
       const auto buf = w.take();
       net::archive_reader r(buf);
-      b.unpack(t, dist::direction::west, r.read_vector<double>());
+      b.unpack(t, dist::direction::west, r);
     }
     benchmark::ClobberMemory();
   }

@@ -2,8 +2,8 @@
 /// \file micro_runtime.cpp
 /// \brief Microbenchmarks of the mini-AMT runtime: async launch/get
 /// round-trip, then-continuation chaining, when_all fan-in, the
-/// per-direction overlap primitives (dataflow_one, when_all_ready), and
-/// the counter registry.
+/// single-dependency hop the ghost exchange uses (dataflow_one), and the
+/// counter registry.
 ///
 
 #include <benchmark/benchmark.h>
@@ -49,7 +49,7 @@ static void BM_WhenAllFanIn(benchmark::State& state) {
 }
 BENCHMARK(BM_WhenAllFanIn)->Arg(4)->Arg(32)->Arg(256);
 
-/// The per-direction ghost hop: one dependency, one pool post — compare
+/// The ghost-message hop: one dependency, one pool post — compare
 /// with BM_WhenAllFanIn at width 1 plus a task launch (the machinery the
 /// general dataflow pays).
 static void BM_DataflowOne(benchmark::State& state) {
@@ -64,24 +64,6 @@ static void BM_DataflowOne(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DataflowOne);
-
-/// The corner-strip readiness gate: a counter-based fan-in over 2-8 void
-/// futures with no future-vector round-trip (range = fan-in width).
-static void BM_WhenAllReadySmall(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    std::vector<amt::promise<void>> ps(static_cast<std::size_t>(width));
-    std::vector<amt::future<void>> fs;
-    fs.reserve(static_cast<std::size_t>(width));
-    for (auto& p : ps) fs.push_back(p.get_future());
-    auto gate = amt::when_all_ready(fs.data(), fs.size());
-    for (auto& p : ps) p.set_value();
-    gate.wait();
-    benchmark::DoNotOptimize(gate.is_ready());
-  }
-  state.SetItemsProcessed(state.iterations() * width);
-}
-BENCHMARK(BM_WhenAllReadySmall)->Arg(2)->Arg(3)->Arg(8);
 
 static void BM_TaskThroughput(benchmark::State& state) {
   amt::thread_pool pool(static_cast<unsigned>(state.range(0)));

@@ -39,9 +39,9 @@ auto async(thread_pool& pool, F&& fn, Args&&... args)
 }
 
 /// Single-dependency dataflow: run `fn(ready)` on `pool` once `dep` is
-/// ready. This is the hop the per-direction ghost schedule uses to move
-/// each unpack continuation off the delivering thread onto the owner's
-/// pool — one future, one continuation, no when_all/vector machinery.
+/// ready. This is the hop the ghost exchange uses to move each message's
+/// unpack off the delivering thread onto the owner's pool — one future,
+/// one continuation, no when_all/vector machinery.
 template <class T, class F>
 auto dataflow_one(thread_pool& pool, future<T> dep, F&& fn)
     -> future<std::invoke_result_t<std::decay_t<F>, future<T>>> {

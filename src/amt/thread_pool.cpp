@@ -30,6 +30,7 @@ thread_pool::thread_pool(unsigned num_threads, int locality) : locality_(localit
 
 thread_pool::~thread_pool() {
   stop_.store(true, std::memory_order_release);
+  { std::lock_guard lk(sleep_m_); }
   work_cv_.notify_all();
   for (auto& w : workers_) w.join();
   if (locality_ >= 0)
@@ -42,10 +43,16 @@ void thread_pool::post(unique_function<void()> task) {
     auto& wq = *queues_[current_index_];
     std::lock_guard lk(wq.m);
     wq.q.push_back(std::move(task));
+    queued_.fetch_add(1, std::memory_order_relaxed);
   } else {
     std::lock_guard lk(inject_m_);
     inject_.push_back(std::move(task));
+    queued_.fetch_add(1, std::memory_order_relaxed);
   }
+  // A worker re-checks queued_ under sleep_m_ before it waits, so taking
+  // sleep_m_ here orders this task either before that check or after the
+  // worker is already waiting: the notify cannot be lost.
+  { std::lock_guard lk(sleep_m_); }
   work_cv_.notify_one();
 }
 
@@ -55,6 +62,7 @@ bool thread_pool::try_pop_local(unsigned index, unique_function<void()>& out) {
   if (wq.q.empty()) return false;
   out = std::move(wq.q.back());  // LIFO: newest first for cache locality
   wq.q.pop_back();
+  queued_.fetch_sub(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -66,6 +74,7 @@ bool thread_pool::try_steal(unsigned index, unique_function<void()>& out) {
     if (!victim.q.empty()) {
       out = std::move(victim.q.front());  // FIFO steal: oldest, largest subtrees
       victim.q.pop_front();
+      queued_.fetch_sub(1, std::memory_order_relaxed);
       return true;
     }
   }
@@ -77,6 +86,7 @@ bool thread_pool::try_pop_inject(unique_function<void()>& out) {
   if (inject_.empty()) return false;
   out = std::move(inject_.front());
   inject_.pop_front();
+  queued_.fetch_sub(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -146,9 +156,11 @@ void thread_pool::worker_loop(unsigned index) {
     }
     if (stop_.load(std::memory_order_acquire)) return;
     std::unique_lock lk(sleep_m_);
-    // Re-check under the lock to avoid missing a notify between the empty
-    // poll above and the wait below.
-    work_cv_.wait_for(lk, std::chrono::milliseconds(1));
+    // Re-check under the lock: a task posted after the empty poll above
+    // either shows in queued_ here or its notify finds this worker waiting.
+    if (queued_.load(std::memory_order_relaxed) == 0 &&
+        !stop_.load(std::memory_order_acquire))
+      work_cv_.wait_for(lk, std::chrono::milliseconds(1));
   }
 }
 

@@ -96,6 +96,9 @@ class thread_pool {
   std::deque<unique_function<void()>> inject_;
   std::condition_variable work_cv_;
   std::mutex sleep_m_;
+  /// Tasks in any queue; changed under that queue's lock, re-checked under
+  /// sleep_m_ before a worker sleeps.
+  std::atomic<std::size_t> queued_{0};
 
   std::vector<std::thread> workers_;
   std::atomic<bool> stop_{false};

@@ -218,8 +218,10 @@ void batch_runner::execute(queued_job qj) {
                               std::chrono::steady_clock::now() - first_submit_)
                               .count();
       pump_locked();
+      // Broadcast under mu_: wait_all()/drain() can return, and the runner
+      // be destroyed, only after this thread has let go of mu_ for good.
+      idle_cv_.notify_all();
     }
-    idle_cv_.notify_all();
   }
   // Fulfill outside mu_: user continuations attached to the future run
   // inline here and must be free to call back into the runner.

@@ -52,10 +52,16 @@ class scenario {
 
   /// Fill the auxiliary field over `rect` (interior DP indices) at time
   /// `t` — whatever source_into() needs precomputed on the global padded
-  /// grid (manufactured: the exact solution w(t, .)). The solvers call
-  /// this for rectangles covering the whole interior before any
-  /// source_into() of the same step, possibly concurrently on disjoint
-  /// rectangles. Default: no-op (no auxiliary data needed).
+  /// grid (manufactured: the exact solution w(t, .)); write only inside
+  /// `rect`. Every step covers the whole interior with such calls, but not
+  /// behind a barrier: the distributed solver fills one SD per call on the
+  /// SD's owner, concurrently with the fills of other SDs and with
+  /// source_into() over other rectangles. What it guarantees is order per
+  /// rectangle: every fill covering a source_into() rect widened by the
+  /// ghost width (the aux values that call may read) finishes before that
+  /// call starts. Like source_into(), it runs inside the distributed
+  /// solver's pool tasks and must not throw: an exception there ends the
+  /// process. Default: no-op (no auxiliary data needed).
   virtual void fill_aux(const scenario_context& ctx, double t,
                         const nonlocal::dp_rect& rect,
                         std::vector<double>& aux) const;

@@ -1,9 +1,9 @@
 ///
 /// \file dist_solver.cpp
 /// \brief Implementation of the asynchronous distributed solver: the cached
-/// step_plan, per-direction futurized ghost exchange, case-1/case-2 compute
-/// tasks (through the compiled kernel plan), SD migration and
-/// checkpoint/restore.
+/// step_plan run by per-locality drivers, merged ghost messages, gated
+/// case-1/case-2 compute (through the compiled kernel plan), SD migration
+/// and checkpoint/restore.
 ///
 
 #include "dist/dist_solver.hpp"
@@ -163,8 +163,6 @@ dist_solver::dist_solver(const dist_config& cfg, ownership_map own,
         static_cast<std::size_t>(blocks_.back()->stride()) * blocks_.back()->stride(),
         0.0);
   }
-  pack_scratch_.resize(static_cast<std::size_t>(tiling_.num_sds()));
-  unpack_scratch_.resize(static_cast<std::size_t>(tiling_.num_sds()));
   migration_epoch_.assign(static_cast<std::size_t>(tiling_.num_sds()), 0);
 
   if (cfg_.backend) kernel_plan_.set_backend(*cfg_.backend);
@@ -193,23 +191,11 @@ void dist_solver::release_buffer(net::byte_buffer buf) {
   buffer_pool_.push_back(std::move(buf));
 }
 
-void dist_solver::unpack_ghost(int sd, direction d, net::byte_buffer buf) {
-  NLH_TRACE_SPAN_ARG("dist/unpack", static_cast<std::uint64_t>(sd));
-  // Per-(SD, direction) scratch: under the per-direction schedule two
-  // ghosts of one SD may unpack concurrently on different workers.
-  auto& strip =
-      unpack_scratch_[static_cast<std::size_t>(sd)][static_cast<std::size_t>(d)];
-  net::archive_reader r(buf);
-  r.read_vector_into(strip);
-  blocks_[static_cast<std::size_t>(sd)]->unpack(tiling_, d, strip);
-  release_buffer(std::move(buf));
-  ghosts_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-std::uint64_t dist_solver::ghost_tag(int step, std::uint64_t tag_base) const {
-  // The historical (step, sd, direction) encoding, affine in the step: the
-  // plan caches tag_base = sd * num_directions + direction.
-  return static_cast<std::uint64_t>(step) * plan_.tag_stride + tag_base;
+std::uint64_t dist_solver::ghost_tag(const plan_message& msg) const {
+  const auto L = static_cast<std::uint64_t>(plan_.localities.size());
+  return static_cast<std::uint64_t>(step_) * L * L +
+         static_cast<std::uint64_t>(msg.src_locality) * L +
+         static_cast<std::uint64_t>(msg.dst_locality);
 }
 
 std::uint64_t dist_solver::migration_tag(int sd) const {
@@ -240,7 +226,7 @@ nonlocal::kernel_exec_stats dist_solver::kernel_stats() const {
   s.applies = kernel_applies_.load(std::memory_order_relaxed);
   s.blocks = kernel_blocks_.load(std::memory_order_relaxed);
   s.dps = kernel_dps_.load(std::memory_order_relaxed);
-  s.seconds = kernel_seconds_.load(std::memory_order_relaxed);
+  s.seconds = static_cast<double>(kernel_ns_.load(std::memory_order_relaxed)) * 1e-9;
   return s;
 }
 
@@ -272,9 +258,12 @@ void dist_solver::metrics_into(obs::metrics_snapshot& snap) const {
   }
   snap.add_histogram("dist/ghost/message_bytes", ghost_msg_bytes_hist_.summary());
   snap.add_histogram("dist/step/drain_wait_seconds", drain_wait_hist_.summary());
-  for (int l = 0; l < own_.num_nodes(); ++l)
+  for (int l = 0; l < own_.num_nodes(); ++l) {
+    const auto& pool = *pools_[static_cast<std::size_t>(l)];
     snap.add_gauge("amt/pool#" + std::to_string(l) + "/busy_fraction",
-                   pools_[static_cast<std::size_t>(l)]->busy_fraction());
+                   pool.busy_fraction());
+    snap.add_counter("amt/pool#" + std::to_string(l) + "/tasks", pool.tasks_executed());
+  }
   // Plan shape: only meaningful once compiled; a dirty plan (fresh
   // construction, or just after migrate_sd/restore) is skipped rather than
   // reported as all-zero.
@@ -312,14 +301,11 @@ void dist_solver::metrics_into(obs::metrics_snapshot& snap) const {
 
 void dist_solver::ensure_plan() {
   if (!plan_dirty_) return;
-  plan_ = compile_step_plan(tiling_, own_);
+  plan_ = compile_step_plan(tiling_, own_, schedule(), cfg_.threads_per_locality);
   ++plan_compiles_;
   NLH_TRACE_INSTANT("dist/plan_compile",
                     static_cast<std::uint64_t>(plan_.total_messages));
-  recv_slots_.assign(static_cast<std::size_t>(plan_.total_messages),
-                     amt::future<net::byte_buffer>{});
-  ghost_ready_.assign(static_cast<std::size_t>(plan_.total_messages),
-                      amt::future<void>{});
+  gate_left_ = std::make_unique<std::atomic<int>[]>(plan_.groups.size());
   plan_dirty_ = false;
 }
 
@@ -357,16 +343,11 @@ void dist_solver::compute_rect(int sd, const nonlocal::dp_rect& rect, double t_n
           kernel_plan_.blocking(), rect.row_begin, rect.row_end, rect.col_begin,
           rect.col_end)),
       std::memory_order_relaxed);
-  kernel_dps_.fetch_add(static_cast<std::uint64_t>(rect.row_end - rect.row_begin) *
-                            static_cast<std::uint64_t>(rect.col_end - rect.col_begin),
-                        std::memory_order_relaxed);
-  // C++17 atomic<double> has no fetch_add; CAS loop (contention is a few
-  // tasks per step, so this never spins long).
-  const double dsec = std::chrono::duration<double>(kt1 - kt0).count();
-  double cur = kernel_seconds_.load(std::memory_order_relaxed);
-  while (!kernel_seconds_.compare_exchange_weak(cur, cur + dsec,
-                                                std::memory_order_relaxed)) {
-  }
+  kernel_dps_.fetch_add(static_cast<std::uint64_t>(rect.area()), std::memory_order_relaxed);
+  kernel_ns_.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(kt1 - kt0).count()),
+      std::memory_order_relaxed);
 
   // The scenario source over the matching global rectangle. Rects of
   // concurrent tasks are disjoint, so the shared scratch is race-free.
@@ -376,232 +357,164 @@ void dist_solver::compute_rect(int sd, const nonlocal::dp_rect& rect, double t_n
                                 rect.col_end + blk.origin_col()};
   scenario_->source_into(context(), t_now, w_field_, grect, b_field_);
 
-  for (int i = rect.row_begin; i < rect.row_end; ++i)
-    for (int j = rect.col_begin; j < rect.col_end; ++j) {
-      const auto idx = blk.flat(i, j);
-      const auto gidx = grid_.flat(blk.origin_row() + i, blk.origin_col() + j);
-      blk.u_next()[idx] = blk.u()[idx] + dt_ * (lu[idx] + b_field_[gidx]);
-    }
+  // Whole rows: flat() asserts each row's first and last index, which
+  // bounds every element between them.
+  const int gi = blk.origin_row(), gj = blk.origin_col();
+  for (int i = rect.row_begin; i < rect.row_end; ++i) {
+    const auto idx = blk.row_flat(i, rect.col_begin, rect.col_end);
+    grid_.flat(gi + i, gj + rect.col_end - 1);
+    const auto gidx = grid_.flat(gi + i, gj + rect.col_begin);
+    const double* u = blk.u().data() + idx;
+    const double* l = lu.data() + idx;
+    const double* b = b_field_.data() + gidx;
+    double* next = blk.u_next().data() + idx;
+    for (int k = 0; k < rect.cols(); ++k) next[k] = u[k] + dt_ * (l[k] + b[k]);
+  }
 }
 
 void dist_solver::step() {
   NLH_TRACE_SPAN_ARG("dist/step", static_cast<std::uint64_t>(step_));
   ensure_plan();
-  const double t_now = step_ * dt_;
-  const overlap_schedule sched = schedule();
-
-  ghosts_inflight_.store(plan_.total_messages, std::memory_order_release);
+  step_time_ = step_ * dt_;
+  ghosts_inflight_.store(plan_.total_messages, std::memory_order_relaxed);
   stat_messages_.fetch_add(static_cast<std::uint64_t>(plan_.total_messages),
                            std::memory_order_relaxed);
-  pending_.clear();
-  aux_pending_.clear();
+  parts_left_.store(plan_.parts, std::memory_order_relaxed);
+  for (std::size_t g = 0; g < plan_.groups.size(); ++g)
+    gate_left_[g].store(plan_.groups[g].gate, std::memory_order_relaxed);
+  step_done_ = amt::promise<void>();
+  auto done = step_done_.get_future();
 
-  // 1. Futurized receives from the cached message table (parking a promise
-  // in the destination mailbox — no task is spent). Under the
-  // per-direction schedule each arrival immediately gets its unpack
-  // continuation, hopped onto the owner's pool, so the collar side fills
-  // the moment its message lands; the other schedules keep the raw payload
-  // future and drain later.
-  for (int sd = 0; sd < tiling_.num_sds(); ++sd) {
-    const int dst = own_.owner(sd);
-    for (const auto& rv : plan_.sds[static_cast<std::size_t>(sd)].recvs) {
-      auto fut = comm_.recv(dst, rv.src_locality, ghost_tag(step_, rv.tag_base));
-      if (sched == overlap_schedule::per_direction) {
-        ghost_ready_[static_cast<std::size_t>(rv.slot)] = amt::dataflow_one(
-            *pools_[static_cast<std::size_t>(dst)], std::move(fut),
-            [this, sd, dir = rv.dir](amt::future<net::byte_buffer> ready) {
-              unpack_ghost(sd, dir, ready.get());
-            });
-      } else {
-        recv_slots_[static_cast<std::size_t>(rv.slot)] = std::move(fut);
-      }
-    }
+  // One futurized receive per merged message (a parked promise, no task);
+  // its arrival hops onto the owner's pool to unpack.
+  for (std::size_t m = 0; m < plan_.messages.size(); ++m) {
+    const auto& msg = plan_.messages[m];
+    amt::dataflow_one(*pools_[static_cast<std::size_t>(msg.dst_locality)],
+                      comm_.recv(msg.dst_locality, msg.src_locality, ghost_tag(msg)),
+                      [this, m](amt::future<net::byte_buffer> ready) {
+                        unpack_message(static_cast<int>(m), ready.get());
+                      });
   }
+  for (std::size_t l = 0; l < plan_.localities.size(); ++l)
+    if (!plan_.localities[l].sds.empty())
+      pools_[l]->post([this, l] { drive(static_cast<int>(l)); });
 
-  // 2. Boundary-first posting: every pack/send task is enqueued before any
-  // aux-field or compute work, so ghost messages leave each locality's
-  // pool as early as possible.
-  for (const auto& snd : plan_.sends) {
-    const auto tag = ghost_tag(step_, snd.tag_base);
-    pending_.push_back(amt::async(
-        *pools_[static_cast<std::size_t>(snd.src_locality)],
-        [this, sender_sd = snd.sender_sd, pack_dir = snd.pack_dir,
-         src = snd.src_locality, dst = snd.dst_locality, tag] {
-          NLH_TRACE_SPAN_ARG("dist/pack_send", static_cast<std::uint64_t>(sender_sd));
-          auto& strip = pack_scratch_[static_cast<std::size_t>(sender_sd)]
-                                     [static_cast<std::size_t>(pack_dir)];
-          blocks_[static_cast<std::size_t>(sender_sd)]->pack_into(tiling_, pack_dir,
-                                                                  strip);
-          net::archive_writer w(acquire_buffer());
-          w.write(strip);
-          auto buf = w.take();
-          ghost_bytes_.fetch_add(buf.size(), std::memory_order_relaxed);
-          ghost_msg_bytes_hist_.record(static_cast<double>(buf.size()));
-          comm_.send(src, dst, tag, std::move(buf));
-        }));
-  }
-
-  // 3. The scenario's auxiliary field on the global grid (manufactured:
-  // the analytic w(t_k), so no communication is needed); each locality
-  // evaluates its own SDs' rectangles (disjoint writes), boundary SDs
-  // first. Everything must land before compute tasks read across SD
-  // boundaries, so these futures are awaited below.
-  for (const int sd : plan_.post_order) {
-    aux_pending_.push_back(amt::async(
-        *pools_[static_cast<std::size_t>(own_.owner(sd))], [this, sd, t_now] {
-          NLH_TRACE_SPAN_ARG("dist/aux", static_cast<std::uint64_t>(sd));
-          const auto& blk = *blocks_[static_cast<std::size_t>(sd)];
-          const nonlocal::dp_rect grect{
-              blk.origin_row(), blk.origin_row() + tiling_.sd_size(),
-              blk.origin_col(), blk.origin_col() + tiling_.sd_size()};
-          scenario_->fill_aux(context(), t_now, grect, w_field_);
-        }));
-  }
-
-  // 4. Same-locality collar fills: direct copies, no serialization. These
-  // write disjoint collar rectangles, so they may overlap with arriving
-  // unpacks of *other* directions.
-  for (int sd = 0; sd < tiling_.num_sds(); ++sd)
-    for (const auto& [d, nb] : plan_.sds[static_cast<std::size_t>(sd)].local_fills)
-      blocks_[static_cast<std::size_t>(sd)]->fill_from_local(
-          tiling_, d, *blocks_[static_cast<std::size_t>(nb)]);
-
-  // The source evaluation inside compute_rect reads w up to `ghost` cells
-  // beyond its own SD: every w rectangle must be in place first.
-  for (auto& f : aux_pending_) f.wait();
-
-  if (sched == overlap_schedule::bulk_sync) {
-    // Bulk-synchronous baseline: drain every ghost before any compute.
-    // This stall is communication wait just like the end-of-step drain, so
-    // it counts toward the same observable.
-    support::stopwatch drain_sw;
-    {
-      NLH_TRACE_SPAN("dist/drain");
-      for (int sd = 0; sd < tiling_.num_sds(); ++sd)
-        for (const auto& rv : plan_.sds[static_cast<std::size_t>(sd)].recvs)
-          unpack_ghost(sd, rv.dir,
-                       recv_slots_[static_cast<std::size_t>(rv.slot)].get());
-    }
-    const double drained_s = drain_sw.elapsed_s();
-    drain_wait_hist_.record(drained_s);
-    // Single writer (the serialized stepping thread): load+store suffices.
-    wait_seconds_.store(wait_seconds_.load(std::memory_order_relaxed) + drained_s,
-                        std::memory_order_relaxed);
-  }
-
-  for (const int sd : plan_.post_order) {
-    auto& pool = *pools_[static_cast<std::size_t>(own_.owner(sd))];
-    const auto& sd_plan = plan_.sds[static_cast<std::size_t>(sd)];
-
-    // Case 2: needs no foreign data — runs while messages are in flight.
-    pending_.push_back(amt::async(pool, [this, sd, rect = sd_plan.split.interior,
-                                         t_now] {
-      NLH_TRACE_SPAN_ARG("dist/interior", static_cast<std::uint64_t>(sd));
-      compute_rect_counted(sd, rect, t_now, stat_interior_early_);
-    }));
-
-    switch (sched) {
-      case overlap_schedule::bulk_sync: {
-        if (sd_plan.split.remote_strips.empty()) break;
-        pending_.push_back(
-            amt::async(pool, [this, sd, &strips = sd_plan.split.remote_strips, t_now] {
-              NLH_TRACE_SPAN_ARG("dist/strip", static_cast<std::uint64_t>(sd));
-              for (const auto& rect : strips)
-                compute_rect_counted(sd, rect, t_now, stat_strips_early_);
-            }));
-        break;
-      }
-      case overlap_schedule::coarse: {
-        // Case 1, PR-1 style: all of this SD's strips gate on the arrival
-        // of all of its ghosts (amt::dataflow hops onto the owner's pool).
-        if (sd_plan.recvs.empty()) break;
-        std::vector<amt::future<net::byte_buffer>> futs;
-        std::vector<direction> dirs;
-        futs.reserve(sd_plan.recvs.size());
-        dirs.reserve(sd_plan.recvs.size());
-        for (const auto& rv : sd_plan.recvs) {
-          futs.push_back(std::move(recv_slots_[static_cast<std::size_t>(rv.slot)]));
-          dirs.push_back(rv.dir);
-        }
-        pending_.push_back(amt::dataflow(
-            pool, std::move(futs),
-            [this, sd, dirs = std::move(dirs), &strips = sd_plan.split.remote_strips,
-             t_now](std::vector<amt::future<net::byte_buffer>> ready) {
-              NLH_TRACE_SPAN_ARG("dist/strip", static_cast<std::uint64_t>(sd));
-              for (std::size_t i = 0; i < ready.size(); ++i)
-                unpack_ghost(sd, dirs[i], ready[i].get());
-              for (const auto& rect : strips)
-                compute_rect_counted(sd, rect, t_now, stat_strips_early_);
-            }));
-        break;
-      }
-      case overlap_schedule::per_direction: {
-        // Ready strips read no cross-locality collar: they run with the
-        // interior instead of waiting on any message.
-        for (const auto& rect : sd_plan.ready_strips)
-          pending_.push_back(amt::async(pool, [this, sd, rect, t_now] {
-            NLH_TRACE_SPAN_ARG("dist/strip", static_cast<std::uint64_t>(sd));
-            compute_rect_counted(sd, rect, t_now, stat_strips_early_);
-          }));
-        // Case 1, per direction: each strip chains on exactly the unpack
-        // completions its halo reads — one `.then` for side strips, a
-        // small-N readiness gate for corners. The continuation runs inline
-        // on the worker that finished the last needed unpack (already on
-        // the owner's pool), so no extra task hop is paid.
-        for (const auto& strip : sd_plan.strips) {
-          auto compute = [this, sd, rect = strip.rect, t_now](amt::future<void>) {
-            NLH_TRACE_SPAN_ARG("dist/strip", static_cast<std::uint64_t>(sd));
-            compute_rect_counted(sd, rect, t_now, stat_strips_early_);
-          };
-          if (strip.dep_slots.size() == 1) {
-            auto dep = ghost_ready_[static_cast<std::size_t>(strip.dep_slots[0])];
-            pending_.push_back(dep.then(std::move(compute)));
-          } else {
-            std::array<amt::future<void>, num_directions> deps;
-            for (std::size_t i = 0; i < strip.dep_slots.size(); ++i)
-              deps[i] = ghost_ready_[static_cast<std::size_t>(strip.dep_slots[i])];
-            auto gate = amt::when_all_ready(deps.data(), strip.dep_slots.size());
-            pending_.push_back(gate.then(std::move(compute)));
-          }
-        }
-        // The unpacks themselves must complete before the field swap even
-        // when (in degenerate geometries) no waited strip reads them.
-        for (const auto& rv : sd_plan.recvs)
-          pending_.push_back(ghost_ready_[static_cast<std::size_t>(rv.slot)]);
-        break;
-      }
-    }
-  }
-
-  // 5. End-of-step drain. The stall measured here is the per-step
-  // overlap/wait observable exposed through stats() and the api metrics.
+  // The step's only wait: the last part to finish fulfils `done`.
   support::stopwatch sw;
   {
     NLH_TRACE_SPAN("dist/drain");
-    for (auto& f : pending_) f.wait();
+    done.wait();
   }
-  const double drained_s = sw.elapsed_s();
-  drain_wait_hist_.record(drained_s);
-  wait_seconds_.store(wait_seconds_.load(std::memory_order_relaxed) + drained_s,
+  const double waited_s = sw.elapsed_s();
+  drain_wait_hist_.record(waited_s);
+  // Single writer (the serialized stepping thread): load+store suffices.
+  wait_seconds_.store(wait_seconds_.load(std::memory_order_relaxed) + waited_s,
                       std::memory_order_relaxed);
 
   for (auto& blk : blocks_) blk->swap_fields();
   ++step_;
 
-  // 6. The live Algorithm 1 loop (docs/balance.md): with the step fully
-  // drained and the fields swapped, ownership can change safely — any
-  // migrations it performs dirty the plan, which recompiles at the top of
-  // the next step.
+  // The live Algorithm 1 loop (docs/balance.md): with the step complete and
+  // the fields swapped, ownership can change safely — any migrations it
+  // performs dirty the plan, which recompiles at the top of the next step.
   if (rebalancer_) rebalancer_->on_step(*this);
 }
 
-void dist_solver::compute_rect_counted(int sd, const nonlocal::dp_rect& rect,
-                                       double t_now,
-                                       std::atomic<std::uint64_t>& early_counter) {
-  if (rect.empty()) return;
-  compute_rect(sd, rect, t_now);
-  if (ghosts_inflight_.load(std::memory_order_acquire) > 0)
-    early_counter.fetch_add(1, std::memory_order_relaxed);
+void dist_solver::drive(int locality) noexcept {
+  const auto& loc = plan_.localities[static_cast<std::size_t>(locality)];
+  const auto boundary_end = loc.sds.begin() + loc.boundary_sds;
+  const auto fill_aux = [this, s = tiling_.sd_size()](int sd) {
+    const auto& b = *blocks_[static_cast<std::size_t>(sd)];
+    const nonlocal::dp_rect r{b.origin_row(), b.origin_row() + s, b.origin_col(),
+                              b.origin_col() + s};
+    scenario_->fill_aux(context(), step_time_, r, w_field_);
+  };
+  {
+    // The aux field next to the boundary goes out with the messages: a
+    // receiver reads it only after unpacking a message sent after this.
+    NLH_TRACE_SPAN("dist/aux");
+    std::for_each(loc.sds.begin(), boundary_end, fill_aux);
+  }
+  {
+    NLH_TRACE_SPAN("dist/pack_send");
+    for (const int m : loc.sends) send_message(m);
+  }
+  {
+    NLH_TRACE_SPAN("dist/aux");
+    std::for_each(boundary_end, loc.sds.end(), fill_aux);
+  }
+  {
+    NLH_TRACE_SPAN("dist/collar");
+    for (const int sd : loc.sds)
+      for (const auto& [d, nb] : plan_.sds[static_cast<std::size_t>(sd)].local_fills)
+        blocks_[static_cast<std::size_t>(sd)]->fill_from_local(
+            tiling_, d, *blocks_[static_cast<std::size_t>(nb)]);
+  }
+  for (const int g : loc.groups) open_gate(g, locality);
+  finish_part();
+}
+
+void dist_solver::send_message(int m) {
+  const auto& msg = plan_.messages[static_cast<std::size_t>(m)];
+  net::archive_writer w(acquire_buffer());
+  for (const auto& gh : msg.ghosts)
+    blocks_[static_cast<std::size_t>(gh.src_sd)]->pack(tiling_, opposite(gh.dir), w);
+  auto buf = w.take();
+  ghost_bytes_.fetch_add(buf.size(), std::memory_order_relaxed);
+  ghost_msg_bytes_hist_.record(static_cast<double>(buf.size()));
+  comm_.send(msg.src_locality, msg.dst_locality, ghost_tag(msg), std::move(buf));
+}
+
+void dist_solver::unpack_message(int m, net::byte_buffer buf) noexcept {
+  const auto& msg = plan_.messages[static_cast<std::size_t>(m)];
+  {
+    NLH_TRACE_SPAN_ARG("dist/unpack", static_cast<std::uint64_t>(m));
+    net::archive_reader r(buf);
+    for (const auto& gh : msg.ghosts)
+      blocks_[static_cast<std::size_t>(gh.dst_sd)]->unpack(tiling_, gh.dir, r);
+    NLH_ASSERT_MSG(r.exhausted(), "dist_solver: trailing bytes in a ghost message");
+  }
+  release_buffer(std::move(buf));
+  ghosts_inflight_.fetch_sub(1, std::memory_order_acq_rel);
+  for (const int g : msg.gates) open_gate(g, msg.dst_locality);
+  finish_part();
+}
+
+void dist_solver::open_gate(int group, int from_locality) noexcept {
+  if (gate_left_[static_cast<std::size_t>(group)].fetch_sub(
+          1, std::memory_order_acq_rel) != 1)
+    return;
+  const auto& g = plan_.groups[static_cast<std::size_t>(group)];
+  if (g.locality == from_locality)
+    run_group(g);
+  else
+    pools_[static_cast<std::size_t>(g.locality)]->post([this, &g] { run_group(g); });
+}
+
+void dist_solver::run_group(const plan_group& g) noexcept {
+  [[maybe_unused]] const char* span = g.gate == 1 ? "dist/interior" : "dist/strip";
+  const auto chunk = [this, &g, span](std::size_t k) {
+    NLH_TRACE_SPAN(span);
+    for (int i = g.chunks[k]; i < g.chunks[k + 1]; ++i) {
+      const auto& r = g.rects[static_cast<std::size_t>(i)];
+      compute_rect(r.sd, r.rect, step_time_);
+      if (ghosts_inflight_.load(std::memory_order_acquire) > 0)
+        (r.strip ? stat_strips_early_ : stat_interior_early_)
+            .fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  for (std::size_t k = 1; k + 1 < g.chunks.size(); ++k)
+    pools_[static_cast<std::size_t>(g.locality)]->post([this, chunk, k] {
+      chunk(k);
+      finish_part();
+    });
+  chunk(0);
+  finish_part();
+}
+
+void dist_solver::finish_part() noexcept {
+  // The last part ends the step; nothing may touch step state after it.
+  if (parts_left_.fetch_sub(1, std::memory_order_acq_rel) == 1) step_done_.set_value();
 }
 
 void dist_solver::run(int steps) {

@@ -6,40 +6,33 @@
 /// ghost exchange over net::comm_world.
 ///
 /// Each timestep executes a cached **step_plan** (docs/overlap.md),
-/// compiled once from (tiling, ownership) and invalidated only by
-/// migrate_sd/restore: same-locality collars are filled by direct copies;
-/// cross-locality strips travel as serialized byte buffers through the
-/// mailbox network, with pack/send tasks posted boundary-first so messages
-/// leave each locality before any compute is enqueued. Case-2 interior
-/// rectangles compute immediately while the messages are in flight; under
-/// the default per_direction schedule each case-1 strip is a continuation
-/// chained on exactly the ghost arrivals its epsilon-halo reads (side
-/// strips: one; corner strips: the two adjacent sides plus the diagonal),
-/// so an SD starts updating its north strip the moment the north ghost
-/// lands instead of waiting for the slowest of up to eight messages. The
-/// coarse schedule (`when_all(all ghosts).then(all strips)`, the PR-1
-/// behaviour) and the bulk_sync baseline remain selectable for ablation.
-/// Per-locality busy-time counters feed Algorithm 1, `migrate_sd`
-/// implements its migration primitive, and checkpoint/restore snapshots
-/// step counter, ownership and fields into a self-contained byte buffer.
+/// compiled on the first step and after migrate_sd/restore. The stepping
+/// thread posts one receive per merged message and one driver task per
+/// locality, then waits on one per-step future. A driver fills the aux
+/// field of its boundary SDs, sends one message per peer locality, fills
+/// the rest of its aux field and its same-locality collars, and computes
+/// its early rectangles (case-2 interiors, and under per_direction the
+/// strips that read no foreign collar) while the messages are in flight.
+/// One continuation per arriving message unpacks it on the owner's pool,
+/// and each group of gated rectangles runs once the messages of its gate
+/// are unpacked and its locality's local phase is done; the schedules
+/// differ only in those gates. No pool task ever blocks, so per-locality
+/// busy time — Algorithm 1's input — measures work. `migrate_sd` is
+/// Algorithm 1's migration primitive; checkpoint/restore snapshot step
+/// counter, ownership and fields into a self-contained byte buffer.
 ///
 /// The solver reproduces the serial reference bitwise for every
-/// decomposition, ownership and thread count: every DP update reads the
-/// same double values through the same stencil entry order, whether its
-/// inputs arrived by collar copy or by message. Both solvers route the
-/// update through one compiled stencil_plan that owns its kernel backend
-/// (pinned per solver via dist_config::backend, else the process
+/// decomposition, ownership, schedule and thread count: every DP update
+/// reads the same double values through the same stencil entry order,
+/// whether its inputs arrived by collar copy or by message. Both solvers
+/// route the update through one compiled stencil_plan that owns its kernel
+/// backend (pinned per solver via dist_config::backend, else the process
 /// default — docs/kernels.md), so the property holds per backend and
-/// solvers with different backends coexist in one process.
-///
-/// Ghost-strip pooling: the exchange path reuses its buffers across steps
-/// — per-(SD, direction) pack scratch, per-SD unpack scratch, and a free
-/// list recirculating serialized byte buffers from the receive side back
-/// to the senders — so steady-state stepping allocates nothing on the
-/// strip path (measured by bench/micro_ghost).
+/// solvers with different backends coexist in one process. Messages are
+/// packed from the SD fields into pooled buffers that the receive side
+/// recycles, and unpacked straight into the collars.
 ///
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -67,18 +60,6 @@ class auto_rebalancer;
 }
 
 namespace nlh::dist {
-
-/// Task schedule of the ghost exchange (docs/overlap.md).
-enum class overlap_schedule {
-  /// Drain every ghost before any compute — no communication hiding.
-  bulk_sync,
-  /// Case-2 overlaps; all of an SD's case-1 strips gate on when_all over
-  /// all of its ghosts (the PR-1 schedule, kept as the ablation baseline).
-  coarse,
-  /// Case-2 overlaps; each case-1 strip gates on exactly the ghost
-  /// arrivals its epsilon-halo reads (the default).
-  per_direction,
-};
 
 const char* overlap_schedule_name(overlap_schedule s);
 /// Parse "bulk_sync" / "coarse" / "per_direction"; nullopt on anything else.
@@ -130,15 +111,14 @@ struct dist_config {
 std::vector<std::string> validate(const dist_config& cfg);
 
 /// Cumulative overlap observables of one dist_solver (counted since
-/// construction; all schedules maintain them, so the same run can be
-/// compared across schedules). "Early" means the task finished while at
-/// least one of the current step's ghost messages was still in flight —
-/// the direct evidence that compute hid communication.
+/// construction, by every schedule). "Early" means the rectangle finished
+/// while one of the step's ghost messages was still not unpacked — the
+/// direct evidence that compute hid communication.
 struct overlap_stats {
-  std::uint64_t messages = 0;        ///< cross-locality ghost messages exchanged
-  std::uint64_t interior_early = 0;  ///< case-2 rect tasks that finished early
-  std::uint64_t strips_early = 0;    ///< case-1 strip tasks that finished early
-  double wait_seconds = 0.0;  ///< stepping thread blocked in the end-of-step drain
+  std::uint64_t messages = 0;        ///< merged ghost messages exchanged
+  std::uint64_t interior_early = 0;  ///< case-2 rectangles that finished early
+  std::uint64_t strips_early = 0;    ///< case-1 strips that finished early
+  double wait_seconds = 0.0;  ///< stepping thread blocked on the step's future
 };
 
 class dist_solver {
@@ -266,25 +246,36 @@ class dist_solver {
  private:
   /// One forward-Euler update over a local-coordinate rectangle of `sd`.
   void compute_rect(int sd, const nonlocal::dp_rect& rect, double t_now);
-  /// compute_rect plus the early-completion accounting (`early` selects the
-  /// interior or strip counter).
-  void compute_rect_counted(int sd, const nonlocal::dp_rect& rect, double t_now,
-                            std::atomic<std::uint64_t>& early_counter);
 
   /// Recompile the step plan when ownership changed (migration/restore).
   void ensure_plan();
 
-  std::uint64_t ghost_tag(int step, std::uint64_t tag_base) const;
+  /// step * L^2 + src * L + dst: the tag of one merged ghost message.
+  std::uint64_t ghost_tag(const plan_message& msg) const;
   std::uint64_t migration_tag(int sd) const;
 
-  /// Pop a recycled serialized-strip buffer (empty when the pool is dry);
-  /// the receive side returns consumed buffers through release_buffer, so
+  /// Pop a recycled message buffer (empty when the pool is dry); the
+  /// receive side returns consumed buffers through release_buffer, so
   /// steady-state stepping stops allocating on the serialization path.
   net::byte_buffer acquire_buffer();
   void release_buffer(net::byte_buffer buf);
-  /// Decode `buf` into `sd`'s collar facing `d` (pooled scratch, no
-  /// allocation in steady state) and recycle the buffer.
-  void unpack_ghost(int sd, direction d, net::byte_buffer buf);
+
+  // The parts of one step (docs/overlap.md). Each ends in finish_part(), never
+  // blocks, and is noexcept: a scenario throw ends the process, not the step.
+  /// A locality's driver: boundary aux, sends, the rest of the aux field,
+  /// same-locality collars, then opens its groups' local gates (the early
+  /// group runs right away).
+  void drive(int locality) noexcept;
+  void send_message(int m);
+  /// Decode every strip of message `m` into its collar, recycle the
+  /// buffer, then open the gates it feeds.
+  void unpack_message(int m, net::byte_buffer buf) noexcept;
+  /// Count one input of `group` done; the last one runs the group, inline
+  /// when it arrived on the group's own locality, else on that pool.
+  void open_gate(int group, int from_locality) noexcept;
+  /// Run `g` as one part: chunks 1.. go to its pool, chunk 0 runs here.
+  void run_group(const plan_group& g) noexcept;
+  void finish_part() noexcept;
 
   api::scenario_context context() const { return {&grid_, &kernel_plan_, c_}; }
 
@@ -299,28 +290,18 @@ class dist_solver {
   nonlocal::stencil_plan kernel_plan_;
   std::shared_ptr<const api::scenario> scenario_;
 
-  net::comm_world comm_;
   std::vector<std::unique_ptr<amt::thread_pool>> pools_;
+  /// Declared after pools_ so it is destroyed first: its delivery timer
+  /// thread posts unpacks to the pools, and is joined while they live.
+  net::comm_world comm_;
   std::vector<std::unique_ptr<sd_block>> blocks_;
   std::vector<std::vector<double>> lu_;  ///< per-SD L_h[u] scratch (padded)
   std::vector<double> w_field_;          ///< scenario aux field (global grid)
   std::vector<double> b_field_;          ///< scenario source scratch
 
-  // Pooled exchange buffers (ROADMAP ghost-strip pooling). Pack and unpack
-  // scratch are both per (SD, direction): the per-step pack tasks of one SD
-  // target distinct directions, and under the per-direction schedule two
-  // ghosts of one SD may unpack concurrently — a per-SD unpack strip would
-  // race. Serialized byte buffers recirculate through a mutex-guarded free
-  // list.
-  std::vector<std::array<std::vector<double>, num_directions>> pack_scratch_;
-  std::vector<std::array<std::vector<double>, num_directions>> unpack_scratch_;
   std::mutex buffer_pool_mu_;
-  std::vector<net::byte_buffer> buffer_pool_;
+  std::vector<net::byte_buffer> buffer_pool_;  ///< recycled message buffers
 
-  // The cached schedule plus its reusable per-step storage: future slots
-  // are sized once at plan compile and re-assigned in place each step, so
-  // steady-state stepping no longer rebuilds the futs/fut_dirs/pending
-  // vectors the pre-plan step() allocated every call.
   step_plan plan_;
   bool plan_dirty_ = true;
   std::uint64_t plan_compiles_ = 0;
@@ -330,10 +311,14 @@ class dist_solver {
   /// swap, so migrations land between steps and the recompiled plan is
   /// what the next step executes.
   std::unique_ptr<balance::auto_rebalancer> rebalancer_;
-  std::vector<amt::future<net::byte_buffer>> recv_slots_;  ///< per message
-  std::vector<amt::future<void>> ghost_ready_;  ///< per message: unpack done
-  std::vector<amt::future<void>> pending_;      ///< end-of-step drain set
-  std::vector<amt::future<void>> aux_pending_;  ///< scenario aux-field fills
+
+  // Per-step state, reset by step() before it posts anything: the inputs
+  // each group still waits for, the parts the step still counts, and the
+  // promise the last part fulfils.
+  std::unique_ptr<std::atomic<int>[]> gate_left_;
+  std::atomic<int> parts_left_{0};
+  amt::promise<void> step_done_;
+  double step_time_ = 0.0;  ///< t of the running step
 
   /// Per-SD migration counter mixed into migration tags.
   std::vector<std::uint64_t> migration_epoch_;
@@ -360,8 +345,8 @@ class dist_solver {
   std::uint64_t ckpt_frames_delta_ = 0;
 
   // Overlap observables (see overlap_stats). ghosts_inflight_ counts the
-  // current step's undelivered/unprocessed ghosts; compute tasks that
-  // finish while it is non-zero increment the early counters.
+  // current step's messages not yet unpacked; rectangles that finish while
+  // it is non-zero increment the early counters.
   std::atomic<int> ghosts_inflight_{0};
   std::atomic<std::uint64_t> stat_messages_{0};
   std::atomic<std::uint64_t> stat_interior_early_{0};
@@ -376,14 +361,14 @@ class dist_solver {
   std::atomic<std::uint64_t> kernel_applies_{0};
   std::atomic<std::uint64_t> kernel_blocks_{0};
   std::atomic<std::uint64_t> kernel_dps_{0};
-  std::atomic<double> kernel_seconds_{0.0};
+  std::atomic<std::uint64_t> kernel_ns_{0};
 
   int step_ = 0;
   std::atomic<std::uint64_t> ghost_bytes_{0};
 
-  // Observability instruments (docs/observability.md): serialized ghost
-  // message sizes in bytes (recorded by pack/send tasks, mutex-guarded
-  // internally) and the stepping thread's per-step drain stall in seconds.
+  // Observability instruments (docs/observability.md): merged ghost
+  // message sizes in bytes (recorded by the drivers, mutex-guarded
+  // internally) and the stepping thread's per-step wait in seconds.
   obs::histogram ghost_msg_bytes_hist_{obs::histogram_options{1.0, 1e9, 4}};
   obs::histogram drain_wait_hist_;
 };

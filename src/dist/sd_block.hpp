@@ -8,13 +8,17 @@
 /// update never aliases its inputs; swap_fields flips them after a step.
 /// pack/unpack serialize send/recv strips row-major as raw doubles — the
 /// payload a cluster run would put on the wire — while fill_from_local is
-/// the zero-copy shortcut for neighbors on the same locality.
+/// the zero-copy shortcut for neighbors on the same locality. All three
+/// copy whole rows, each bounds-checked through row_flat().
 ///
 
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "dist/tiling.hpp"
+#include "net/serializer.hpp"
 #include "support/assert.hpp"
 
 namespace nlh::dist {
@@ -49,6 +53,12 @@ class sd_block {
            static_cast<std::size_t>(j + ghost_);
   }
 
+  /// Flat index of (i, j0); asserts the row segment [j0, j1) at both ends.
+  std::size_t row_flat(int i, int j0, int j1) const {
+    flat(i, j1 - 1);
+    return flat(i, j0);
+  }
+
   std::vector<double>& u() { return u_; }
   const std::vector<double>& u() const { return u_; }
   std::vector<double>& u_next() { return u_next_; }
@@ -74,45 +84,40 @@ class sd_block {
       for (int j = 0; j < size_; ++j) u_[flat(i, j)] = vals[k++];
   }
 
-  /// Row-major copy of the strip sent toward direction `d`, written into a
-  /// caller-owned scratch vector: its capacity is reused across steps, so a
-  /// pooled exchange path allocates only on the first step (or never, once
-  /// warm — the ROADMAP ghost-strip-pooling item).
-  void pack_into(const tiling& t, direction d, std::vector<double>& strip) const {
+  /// Append the strip sent toward `d` to a ghost message: its DP count,
+  /// then its rows (the wire form of a std::vector<double>).
+  void pack(const tiling& t, direction d, net::archive_writer& w) const {
     const auto r = t.send_rect(d);
-    strip.resize(static_cast<std::size_t>(r.area()));
-    std::size_t k = 0;
+    w.write(static_cast<std::uint64_t>(r.area()));
     for (int i = r.row_begin; i < r.row_end; ++i)
-      for (int j = r.col_begin; j < r.col_end; ++j) strip[k++] = u_[flat(i, j)];
+      w.write_raw(u_.data() + row_flat(i, r.col_begin, r.col_end),
+                  static_cast<std::size_t>(r.cols()) * sizeof(double));
   }
 
-  /// Convenience allocating form of pack_into.
-  std::vector<double> pack(const tiling& t, direction d) const {
-    std::vector<double> strip;
-    pack_into(t, d, strip);
-    return strip;
-  }
-
-  /// Write a strip received *from* direction `d` into the matching collar.
-  void unpack(const tiling& t, direction d, const std::vector<double>& strip) {
-    const auto r = t.recv_rect(d);
-    NLH_ASSERT_MSG(strip.size() == static_cast<std::size_t>(r.area()),
+  /// Read the next strip of a ghost message into the collar facing `d`.
+  /// Aborts when its DP count differs from the collar's or the message
+  /// ends early.
+  void unpack(const tiling& t, direction d, net::archive_reader& r) {
+    const auto rect = t.recv_rect(d);
+    NLH_ASSERT_MSG(r.read<std::uint64_t>() == static_cast<std::uint64_t>(rect.area()),
                    "sd_block: ghost strip size does not match the collar rect");
-    std::size_t k = 0;
-    for (int i = r.row_begin; i < r.row_end; ++i)
-      for (int j = r.col_begin; j < r.col_end; ++j) u_[flat(i, j)] = strip[k++];
+    for (int i = rect.row_begin; i < rect.row_end; ++i)
+      r.read_raw(u_.data() + row_flat(i, rect.col_begin, rect.col_end),
+                 static_cast<std::size_t>(rect.cols()) * sizeof(double));
   }
 
   /// Fill the collar facing direction `d` straight from a same-locality
-  /// neighbor block (equivalent to unpack(d, nbr.pack(opposite(d)))).
+  /// neighbor block (equivalent to packing nbr's strip toward opposite(d)
+  /// and unpacking it here).
   void fill_from_local(const tiling& t, direction d, const sd_block& nbr) {
     const auto dst = t.recv_rect(d);
     const auto src = t.send_rect(opposite(d));
     NLH_ASSERT(dst.rows() == src.rows() && dst.cols() == src.cols());
     for (int i = 0; i < dst.rows(); ++i)
-      for (int j = 0; j < dst.cols(); ++j)
-        u_[flat(dst.row_begin + i, dst.col_begin + j)] =
-            nbr.u_[nbr.flat(src.row_begin + i, src.col_begin + j)];
+      std::copy_n(nbr.u_.data() + nbr.row_flat(src.row_begin + i, src.col_begin,
+                                               src.col_end),
+                  dst.cols(),
+                  u_.data() + row_flat(dst.row_begin + i, dst.col_begin, dst.col_end));
   }
 
  private:

@@ -3,22 +3,29 @@
 /// \file step_plan.hpp
 /// \brief The compiled per-solver schedule of one distributed timestep.
 ///
-/// A step_plan is compiled once from (tiling, ownership) and reused every
-/// step until a migration or restore changes the ownership map: it caches
-/// each SD's case-1/case-2 split, its same-locality collar fills, its
-/// cross-locality message table (direction, peer locality, tag base) and
-/// the fine-grained per-direction strip dependency graph — everything
-/// dist_solver::step() used to recompute and re-allocate per step. Ghost
-/// tags are an affine function of the step counter (step * tag_stride +
-/// tag_base), so the cached bases stay valid for the plan's lifetime.
+/// A step_plan is compiled once from (tiling, ownership, schedule, workers
+/// per locality) and reused until a migration or restore changes the
+/// ownership map. It splits the step by locality (docs/overlap.md):
 ///
-/// The sends table is ordered for boundary-first posting: pack/send tasks
-/// are enqueued on the sender pools before any aux-field or interior
-/// compute work, so messages leave each locality as early as possible.
-/// post_order lists SDs boundary-first for the same reason.
+/// - **messages**: one per (source, destination) locality pair that shares
+///   an SD boundary, carrying all of the pair's ghost strips in plan order.
+/// - **localities**: each driver's owned SDs boundary-first (their aux field
+///   is filled before the sends, so a message also publishes the sender's
+///   w next to the boundary) and the messages it sends.
+/// - **groups**: a locality's rectangles, grouped by gate. A group runs
+///   once every message of its gate is unpacked and its locality's local
+///   phase (aux field, same-locality collars) is done. The *early* group,
+///   whose gate holds no message, reads only its own locality's data and
+///   runs right after the local phase.
+///
+/// The schedules differ only in the gates: per_direction gates a fine strip
+/// on the messages its halo reads, coarse gates all of an SD's strips on
+/// every message the SD reads, and bulk_sync gates every rectangle,
+/// interiors included, on every message of the step.
 ///
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "dist/ownership.hpp"
@@ -26,60 +33,92 @@
 
 namespace nlh::dist {
 
-/// One cross-locality ghost message, receiver view.
-struct plan_recv {
-  direction dir;           ///< collar side it fills on the receiving SD
-  int src_locality;        ///< sender's locality at compile time
-  std::uint64_t tag_base;  ///< tag = step * step_plan::tag_stride + tag_base
-  int slot;                ///< plan-wide message index (future-slot storage)
+/// Task schedule of the ghost exchange: which gate each rectangle gets.
+enum class overlap_schedule {
+  /// Every rectangle, interiors included, waits for every message of the
+  /// step — no communication hiding.
+  bulk_sync,
+  /// Case-2 overlaps; all of an SD's case-1 strips wait for every message
+  /// the SD reads (the original overlap schedule, kept for ablation).
+  coarse,
+  /// Case-2 overlaps; each case-1 strip waits for exactly the messages its
+  /// epsilon-halo reads (the default).
+  per_direction,
 };
 
-/// The same message, sender view — the boundary-first posting order.
-struct plan_send {
-  int sender_sd;
-  direction pack_dir;      ///< strip the sender packs (= opposite(recv dir))
-  int src_locality;
-  int dst_locality;
-  std::uint64_t tag_base;  ///< the receiver's tag base (same message)
-};
-
-/// One case-1 strip with its ghost dependencies resolved to message slots.
-struct plan_strip {
-  nonlocal::dp_rect rect;
-  std::vector<int> dep_slots;  ///< slots of the ghosts whose collar it reads
-};
-
-/// The cached per-SD schedule.
+/// The cached per-SD geometry the locality lists are built from.
 struct plan_sd {
   case_split split;  ///< coarse split (interior + full-margin strips)
   std::vector<std::pair<direction, int>> local_fills;  ///< same-locality collars
-  std::vector<plan_recv> recvs;
-  std::vector<plan_strip> strips;  ///< fine strips with >= 1 remote dependency
-  /// Fine case-1 strips whose halo reads no cross-locality collar: posted
-  /// together with the interior, they never wait on a message.
+  /// Cross-locality collars: (direction, index into step_plan::messages).
+  std::vector<std::pair<direction, int>> recvs;
+  std::vector<strip_dep> strips;  ///< fine strips with >= 1 remote dependency
+  /// Fine case-1 strips whose halo reads no cross-locality collar.
   std::vector<nonlocal::dp_rect> ready_strips;
   bool boundary = false;  ///< has at least one cross-locality neighbor
 };
 
+/// One rectangle of one SD; `strip` picks the early-completion counter.
+struct plan_rect {
+  int sd;
+  nonlocal::dp_rect rect;
+  bool strip;
+};
+
+/// One ghost strip of a merged message.
+struct plan_ghost {
+  int src_sd;     ///< packs its send strip toward opposite(dir)
+  int dst_sd;     ///< receives it into the collar facing `dir`
+  direction dir;
+};
+
+/// Every strip one locality sends another in one step.
+struct plan_message {
+  int src_locality;
+  int dst_locality;
+  std::vector<plan_ghost> ghosts;  ///< wire order
+  std::vector<int> gates;          ///< groups this message's unpack opens
+};
+
+/// Rectangles of one locality that share a gate. They run as
+/// `chunks.size() - 1` contiguous chunks of about equal DP count, at most
+/// one per worker of the locality: chunk k is rects[chunks[k], chunks[k + 1]).
+struct plan_group {
+  int locality;
+  int gate;  ///< messages in the gate + 1 for the local phase
+  std::vector<plan_rect> rects;
+  std::vector<int> chunks{0};
+};
+
+struct plan_locality {
+  std::vector<int> sds;   ///< owned SDs, boundary SDs first
+  int boundary_sds = 0;   ///< sds[0, boundary_sds) have a remote neighbor
+  std::vector<int> sends;   ///< messages this locality packs and sends
+  std::vector<int> groups;  ///< its groups in gate order, the early one first
+};
+
 struct step_plan {
-  std::uint64_t tag_stride = 0;  ///< num_sds * num_directions
-  int total_messages = 0;        ///< plan-wide message (slot) count
   std::vector<plan_sd> sds;
-  std::vector<plan_send> sends;  ///< every cross-locality message, send view
-  std::vector<int> post_order;   ///< SD ids, boundary SDs first
+  std::vector<plan_locality> localities;
+  std::vector<plan_message> messages;
+  std::vector<plan_group> groups;
+  /// Completions one step counts down: a driver per locality with SDs, an
+  /// unpack per message, each group, and every chunk beyond a group's first.
+  int parts = 0;
 
   // Aggregate schedule shape, totalled at compile time — exposed as
-  // `dist/plan/...` gauges and trace args by the observability layer so an
-  // exported snapshot states how much of the step was overlappable.
+  // `dist/plan/...` gauges by the observability layer.
+  int total_messages = 0;      ///< merged messages per step
   int total_strips = 0;        ///< fine case-1 strips with >= 1 remote dep
   int total_ready_strips = 0;  ///< fine case-1 strips with no remote dep
   int total_local_fills = 0;   ///< same-locality collar copies per step
   int boundary_sds = 0;        ///< SDs with >= 1 cross-locality neighbor
 };
 
-/// Compile the schedule for `t` under `own`. Deterministic: the message
-/// enumeration (receiver-major, direction order) reproduces the historical
-/// tag assignment bit for bit.
-step_plan compile_step_plan(const tiling& t, const ownership_map& own);
+/// Compile the schedule for `t` under `own`, gating rectangles per `sched`
+/// and chunking each group for `workers` threads per locality.
+/// Deterministic: both ends of a message derive the same wire order.
+step_plan compile_step_plan(const tiling& t, const ownership_map& own,
+                            overlap_schedule sched, int workers);
 
 }  // namespace nlh::dist

@@ -145,35 +145,44 @@ void class_scheduler::run_sheds(std::vector<pending_shed>& sheds) {
   sheds.clear();
 }
 
-void class_scheduler::pump() {
+void class_scheduler::pump() { settle(false); }
+
+void class_scheduler::on_item_done() { settle(true); }
+
+void class_scheduler::settle(bool item_done) {
   std::vector<pending_shed> sheds;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    pump_locked(sheds);
+  std::unique_lock<std::mutex> lk(mu_);
+  if (item_done) --running_;
+  pump_locked(sheds);
+  if (!sheds.empty()) {
+    // The callbacks run outside mu_; settling_ keeps the scheduler from
+    // looking idle until they are done.
+    ++settling_;
+    lk.unlock();
+    run_sheds(sheds);
+    lk.lock();
+    --settling_;
   }
-  run_sheds(sheds);
+  // Broadcast under mu_: a waiter can return, and its owner destroy the
+  // scheduler, only after this thread has let go of mu_ for good.
   idle_cv_.notify_all();
 }
 
-void class_scheduler::on_item_done() {
-  std::vector<pending_shed> sheds;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    --running_;
-    pump_locked(sheds);
-  }
-  run_sheds(sheds);
-  idle_cv_.notify_all();
+bool class_scheduler::idle_locked() const {
+  if (running_ > 0 || settling_ > 0) return false;
+  for (const auto& q : queues_)
+    if (!q.empty()) return false;
+  return true;
+}
+
+bool class_scheduler::idle() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return idle_locked();
 }
 
 void class_scheduler::wait_idle() {
   std::unique_lock<std::mutex> lk(mu_);
-  idle_cv_.wait(lk, [&] {
-    if (running_ > 0) return false;
-    for (const auto& q : queues_)
-      if (!q.empty()) return false;
-    return true;
-  });
+  idle_cv_.wait(lk, [&] { return idle_locked(); });
 }
 
 class_scheduler::drain_report class_scheduler::drain(double timeout_s) {
@@ -184,7 +193,7 @@ class_scheduler::drain_report class_scheduler::drain(double timeout_s) {
     draining_ = true;
     rep.in_flight = running_;
     idle_cv_.wait_for(lk, std::chrono::duration<double>(timeout_s),
-                      [&] { return running_ == 0; });
+                      [&] { return running_ == 0 && settling_ == 0; });
     rep.still_running = running_;
     for (auto& q : queues_) {
       for (auto& item : q) {
@@ -195,8 +204,11 @@ class_scheduler::drain_report class_scheduler::drain(double timeout_s) {
       }
       q.clear();
     }
+    ++settling_;
   }
   run_sheds(sheds);
+  std::lock_guard<std::mutex> lk(mu_);
+  --settling_;
   idle_cv_.notify_all();
   return rep;
 }

@@ -91,8 +91,12 @@ class class_scheduler {
   /// deadlines fire without traffic.
   void pump();
 
-  /// Block until every queue is empty and no item is running.
+  /// Block until every queue is empty, no item is running and no thread is
+  /// still inside the scheduler finishing one: the scheduler may be
+  /// destroyed as soon as this returns.
   void wait_idle();
+  /// The condition wait_idle() waits for, polled once.
+  bool idle() const;
 
   struct drain_report {
     int abandoned = 0;      ///< queued items shed with reason "drained"
@@ -103,7 +107,8 @@ class class_scheduler {
 
   /// Stop dispatching (enqueue starts refusing with `draining`), wait up
   /// to `timeout_s` for in-flight items, then shed everything still
-  /// queued. Idempotent; the scheduler stays drained afterwards.
+  /// queued. Idempotent; the scheduler stays drained afterwards. After a
+  /// clean drain the scheduler may be destroyed as soon as this returns.
   drain_report drain(double timeout_s);
 
   bool draining() const;
@@ -137,6 +142,10 @@ class class_scheduler {
   void run_sheds(std::vector<pending_shed>& sheds);
   /// Pool-task epilogue: free the slot, re-pump, wake waiters.
   void on_item_done();
+  /// pump() and on_item_done(): free a slot when `item_done`, dispatch, run
+  /// the resulting sheds, then broadcast under mu_.
+  void settle(bool item_done);
+  bool idle_locked() const;
 
   scheduler_options opt_;
   amt::thread_pool& pool_;
@@ -147,6 +156,9 @@ class class_scheduler {
   std::array<std::deque<sched_item>, qos_class_count> queues_;
   std::array<int, qos_class_count> credits_{};  ///< deficit balances
   int running_ = 0;
+  /// Threads running shed callbacks outside mu_; the scheduler is not idle
+  /// until they are back.
+  int settling_ = 0;
   bool draining_ = false;
   std::array<std::uint64_t, qos_class_count> served_{};
   std::uint64_t rounds_ = 0;

@@ -247,10 +247,7 @@ void service_loop::note_terminal() {
 void service_loop::wait_idle() {
   for (;;) {
     sched_.pump();
-    bool idle = sched_.running() == 0;
-    for (int c = 0; c < qos_class_count && idle; ++c)
-      idle = sched_.queue_depth(static_cast<qos_class>(c)) == 0;
-    if (idle) return;
+    if (sched_.idle()) return;
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 }

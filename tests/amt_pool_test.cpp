@@ -159,3 +159,31 @@ TEST(ThreadPool, DestructionDrainsCleanly) {
   }  // destructor joins workers
   EXPECT_EQ(executed.load(), 50);
 }
+
+TEST(ThreadPool, PostRacingAWorkerOnItsWayToSleepIsNotLost) {
+  // One worker, one poster. Each task raises a flag the poster spins on,
+  // and the poster then waits a little longer each round before it posts
+  // again, so the posts sweep across the worker's path from its last empty
+  // poll to its sleep. A post whose wake-up is lost there sits in the
+  // queue until the worker's 1 ms timed wait runs out; a post that is not
+  // lost runs within microseconds.
+  amt::thread_pool pool(1);
+  constexpr int rounds = 2000;
+  int stalled = 0;
+  std::atomic<bool> ran{false};
+  for (int i = 0; i < rounds; ++i) {
+    ran.store(false, std::memory_order_relaxed);
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.post([&ran] { ran.store(true, std::memory_order_release); });
+    while (!ran.load(std::memory_order_acquire)) {
+    }
+    if (std::chrono::steady_clock::now() - t0 > std::chrono::microseconds(700))
+      ++stalled;
+    for (volatile int spin = 0; spin < i % 200; spin = spin + 1) {
+    }
+  }
+  // Scheduler noise on a busy host stalls a few rounds; lost wake-ups
+  // stall a large share of them.
+  EXPECT_LT(stalled, rounds / 20) << stalled << " of " << rounds
+                                   << " posts waited out the timed sleep";
+}

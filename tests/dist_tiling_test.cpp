@@ -6,8 +6,10 @@
 #include "dist/ownership.hpp"
 #include "dist/sd_block.hpp"
 #include "dist/tiling.hpp"
+#include "net/serializer.hpp"
 
 namespace dist = nlh::dist;
+namespace net = nlh::net;
 using dist::direction;
 
 // ---------------------------------------------------------------- tiling ----
@@ -198,15 +200,35 @@ TEST(CaseSplit, DiagonalRemoteWidensMargins) {
 
 // --------------------------------------------------------------- sd_block ----
 
+namespace {
+
+/// Send `from`'s strip toward `d` through the ghost-message wire form into
+/// `to`'s collar facing opposite(d).
+void exchange(const dist::tiling& t, const dist::sd_block& from, direction d,
+              dist::sd_block& to) {
+  net::archive_writer w;
+  from.pack(t, d, w);
+  const auto msg = w.take();
+  net::archive_reader r(msg);
+  to.unpack(t, dist::opposite(d), r);
+  EXPECT_TRUE(r.exhausted());
+}
+
+}  // namespace
+
 TEST(SdBlock, PackUnpackRoundTrip) {
   dist::tiling t(1, 2, 4, 2);
   dist::sd_block a(t, 0), b(t, 1);
   for (int i = 0; i < 4; ++i)
     for (int j = 0; j < 4; ++j) a.u()[a.flat(i, j)] = 10.0 * i + j;
   // a sends east; b receives from the west.
-  const auto strip = a.pack(t, direction::east);
-  EXPECT_EQ(strip.size(), 8u);  // 4 rows x ghost 2
-  b.unpack(t, direction::west, strip);
+  net::archive_writer w;
+  a.pack(t, direction::east, w);
+  const auto msg = w.take();
+  EXPECT_EQ(msg.size(), sizeof(std::uint64_t) + 8 * sizeof(double));  // 4 rows x ghost 2
+  net::archive_reader r(msg);
+  b.unpack(t, direction::west, r);
+  EXPECT_TRUE(r.exhausted());
   for (int i = 0; i < 4; ++i)
     for (int j = 0; j < 2; ++j)
       EXPECT_DOUBLE_EQ(b.u()[b.flat(i, -2 + j)], 10.0 * i + (2 + j));
@@ -217,7 +239,7 @@ TEST(SdBlock, FillFromLocalEqualsPackUnpack) {
   dist::sd_block top(t, 0), bottom_a(t, 1), bottom_b(t, 1);
   for (int i = 0; i < 5; ++i)
     for (int j = 0; j < 5; ++j) top.u()[top.flat(i, j)] = i * 5.0 + j;
-  bottom_a.unpack(t, direction::north, top.pack(t, direction::south));
+  exchange(t, top, direction::south, bottom_a);
   bottom_b.fill_from_local(t, direction::north, top);
   for (int j = 0; j < 5; ++j)
     EXPECT_DOUBLE_EQ(bottom_a.u()[bottom_a.flat(-1, j)],
@@ -229,7 +251,7 @@ TEST(SdBlock, CornerExchange) {
   dist::sd_block nw(t, 0), se(t, 3);
   for (int i = 0; i < 4; ++i)
     for (int j = 0; j < 4; ++j) nw.u()[nw.flat(i, j)] = 100.0 + i * 4 + j;
-  se.unpack(t, direction::northwest, nw.pack(t, direction::southeast));
+  exchange(t, nw, direction::southeast, se);
   // SE block's NW collar = NW block's bottom-right 2x2 corner.
   EXPECT_DOUBLE_EQ(se.u()[se.flat(-2, -2)], 100.0 + 2 * 4 + 2);
   EXPECT_DOUBLE_EQ(se.u()[se.flat(-1, -1)], 100.0 + 3 * 4 + 3);

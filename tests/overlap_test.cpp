@@ -8,7 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -16,6 +22,7 @@
 #include "api/session.hpp"
 #include "dist/dist_solver.hpp"
 #include "dist/step_plan.hpp"
+#include "net/serializer.hpp"
 #include "nonlocal/kernel/backend.hpp"
 #include "nonlocal/serial_solver.hpp"
 
@@ -138,9 +145,9 @@ TEST(StepPlan, CachesMessageTableAndSplits) {
 
   const auto& plan = solver.plan();
   // Column split: each SD exchanges a side strip and a diagonal with the
-  // other locality -> 2 messages per SD.
-  EXPECT_EQ(plan.total_messages, 8);
-  EXPECT_EQ(plan.sends.size(), 8u);
+  // other locality, all merged into one message per direction of the pair.
+  EXPECT_EQ(plan.total_messages, 2);
+  EXPECT_EQ(plan.messages.size(), 2u);
   EXPECT_EQ(static_cast<int>(plan.sds.size()), 4);
   for (const auto& sd : plan.sds) {
     EXPECT_TRUE(sd.boundary);
@@ -297,7 +304,7 @@ TEST(InjectedLatency, PerDirectionComputesBeforeSlowestGhost) {
   solver.step();
 
   const auto s = solver.stats();
-  EXPECT_EQ(s.messages, 8u);
+  EXPECT_EQ(s.messages, 2u);
   // All four case-2 interiors completed while ghosts were in flight...
   EXPECT_EQ(s.interior_early, 4u);
   // ...and so did the four ready-direction strips (one zero-dependency
@@ -320,7 +327,7 @@ TEST(InjectedLatency, BulkSyncHidesNothing) {
   solver.step();
 
   const auto s = solver.stats();
-  EXPECT_EQ(s.messages, 8u);
+  EXPECT_EQ(s.messages, 2u);
   // The bulk-synchronous drain finishes before any compute is posted:
   // nothing ever completes "early".
   EXPECT_EQ(s.interior_early, 0u);
@@ -395,4 +402,263 @@ TEST(ApiOverlapMetrics, UnknownScheduleNameIsRejected) {
   ASSERT_EQ(errs.size(), 1u);
   EXPECT_NE(errs[0].find("overlap_schedule"), std::string::npos);
   EXPECT_THROW(api::session{opt}, std::invalid_argument);
+}
+
+// ------------------------------------------------ aux order and drivers ----
+
+namespace {
+
+/// Counters shared between the test and its stamped scenario.
+struct aux_audit {
+  std::atomic<long long> checked{0};
+  std::atomic<long long> stale{0};
+};
+
+/// Test-only scenario: fill_aux stamps every aux DP with the step's time
+/// (plus one, so step 0 differs from the zeroed field) after a short spin
+/// that widens any window a missing order would open; source_into checks
+/// that every aux DP it may read — its rect widened by the ghost width,
+/// clipped to the interior — carries this step's stamp. Zero source.
+class stamped_aux_scenario final : public api::scenario {
+ public:
+  explicit stamped_aux_scenario(aux_audit* audit) : audit_(audit) {}
+  std::string name() const override { return "stamped_aux"; }
+  double initial(double x1, double x2) const override { return x1 * x2; }
+  void fill_aux(const api::scenario_context& ctx, double t, const nl::dp_rect& rect,
+                std::vector<double>& aux) const override {
+    const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    for (int i = rect.row_begin; i < rect.row_end; ++i)
+      for (int j = rect.col_begin; j < rect.col_end; ++j)
+        aux[ctx.grid->flat(i, j)] = 1.0 + t;
+  }
+  void source_into(const api::scenario_context& ctx, double t,
+                   const std::vector<double>& aux, const nl::dp_rect& rect,
+                   std::vector<double>& out) const override {
+    const auto& g = *ctx.grid;
+    const int w = g.ghost();
+    long long stale = 0;
+    for (int i = std::max(rect.row_begin - w, 0); i < std::min(rect.row_end + w, g.n()); ++i)
+      for (int j = std::max(rect.col_begin - w, 0); j < std::min(rect.col_end + w, g.n());
+           ++j)
+        if (aux[g.flat(i, j)] != 1.0 + t) ++stale;
+    audit_->stale.fetch_add(stale);
+    audit_->checked.fetch_add(1);
+    for (int i = rect.row_begin; i < rect.row_end; ++i)
+      for (int j = rect.col_begin; j < rect.col_end; ++j) out[g.flat(i, j)] = 0.0;
+  }
+
+ private:
+  aux_audit* audit_;
+};
+
+dist::dist_config driver_cfg(dist::overlap_schedule sched, int threads) {
+  dist::dist_config cfg;
+  cfg.sd_rows = cfg.sd_cols = 4;
+  cfg.sd_size = 6;
+  cfg.epsilon_factor = 2;
+  cfg.threads_per_locality = threads;
+  cfg.schedule = sched;
+  return cfg;
+}
+
+/// 2 localities: column halves; 3: a scattered map where every pair of
+/// localities shares boundaries.
+std::vector<int> driver_owners(int localities) {
+  if (localities == 2) return {0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1};
+  return {0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0};
+}
+
+}  // namespace
+
+using AuxOrderParam = std::tuple<dist::overlap_schedule, int /*localities*/,
+                                 int /*threads*/, bool /*migrate*/>;
+
+class AuxOrder : public ::testing::TestWithParam<AuxOrderParam> {};
+
+TEST_P(AuxOrder, SourceReadsOnlyThisStepsAux) {
+  // A driver fills its boundary SDs' aux before it sends, so a message
+  // also publishes the w a receiver's strips read; rectangles reading only
+  // local w run after the local phase. No step-wide aux barrier is left to
+  // hide a missing edge: every source_into must see this step's stamps.
+  const auto [sched, localities, threads, migrate] = GetParam();
+  aux_audit audit;
+  const auto cfg = driver_cfg(sched, threads);
+  const dist::tiling t(4, 4, 6, 2);
+  dist::dist_solver solver(cfg, dist::ownership_map(t, localities, driver_owners(localities)),
+                           std::make_shared<stamped_aux_scenario>(&audit));
+  solver.set_initial_condition();
+  for (int k = 0; k < 6; ++k) {
+    solver.step();
+    if (migrate) {
+      const int sd = (5 * k + 3) % t.num_sds();
+      solver.migrate_sd(sd, (solver.owners().owner(sd) + 1) % localities);
+    }
+  }
+  EXPECT_GT(audit.checked.load(), 0);
+  EXPECT_EQ(audit.stale.load(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SchedulesLocalitiesWorkers, AuxOrder,
+    ::testing::Combine(::testing::Values(dist::overlap_schedule::bulk_sync,
+                                         dist::overlap_schedule::coarse,
+                                         dist::overlap_schedule::per_direction),
+                       ::testing::Values(2, 3), ::testing::Values(1, 2),
+                       ::testing::Values(false, true)));
+
+TEST(StepDrivers, FewTasksAndOneMessagePerLocalityPair) {
+  // 16x16 SDs on 3 localities (left half, right top, right bottom: every
+  // pair shares a boundary), one worker each. A step is a driver per
+  // locality plus an unpack per message, so it stays within 4 tasks per
+  // locality, however many SDs and strips there are.
+  dist::dist_config cfg;
+  cfg.sd_rows = cfg.sd_cols = 16;
+  cfg.sd_size = 8;
+  cfg.epsilon_factor = 2;
+  const dist::tiling t(16, 16, 8, 2);
+  std::vector<int> owner(static_cast<std::size_t>(t.num_sds()));
+  for (int sd = 0; sd < t.num_sds(); ++sd)
+    owner[static_cast<std::size_t>(sd)] =
+        t.sd_col(sd) < 8 ? 0 : (t.sd_row(sd) < 8 ? 1 : 2);
+  const int L = 3;
+  dist::dist_solver solver(cfg, dist::ownership_map(t, L, owner));
+  solver.set_initial_condition();
+  solver.step();  // compiles the plan
+
+  const auto tasks = [&solver] {
+    nlh::obs::metrics_snapshot snap;
+    solver.metrics_into(snap);
+    std::uint64_t total = 0;
+    for (const auto& [name, v] : snap.counters)
+      if (name.rfind("amt/pool#", 0) == 0 && name.find("/tasks") != std::string::npos)
+        total += v;
+    return total;
+  };
+  const int steps = 5;
+  const auto tasks0 = tasks();
+  const auto messages0 = solver.stats().messages;
+  solver.run(steps);
+  const auto tasks_per_step = static_cast<double>(tasks() - tasks0) / steps;
+  const auto messages_per_step =
+      static_cast<double>(solver.stats().messages - messages0) / steps;
+  EXPECT_LE(tasks_per_step, 4.0 * L);
+  EXPECT_LE(messages_per_step, static_cast<double>(L * (L - 1)));
+  EXPECT_EQ(solver.plan().total_messages, L * (L - 1));
+}
+
+// ------------------------------------------- hostile merged messages ----
+
+namespace {
+
+namespace net = nlh::net;
+
+/// Plant `make(solver)` as the step-0 message from locality 0 to 1 of a 2x2
+/// column split (tag 0 * L^2 + 0 * L + 1), then step: the receiver matches
+/// it before the real one and has to decode it.
+void step_with_planted(const std::function<net::byte_buffer(dist::dist_solver&)>& make) {
+  dist::dist_config cfg;
+  cfg.sd_rows = cfg.sd_cols = 2;
+  cfg.sd_size = 8;
+  cfg.epsilon_factor = 2;
+  const dist::tiling t(2, 2, 8, 2);
+  dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 1, 0, 1}));
+  solver.set_initial_condition();
+  solver.comm().send(0, 1, 1, make(solver));
+  solver.step();
+}
+
+/// Every strip locality 0 sends locality 1, in wire order and sized to its
+/// collar, except that the first carries `extra` more doubles.
+net::byte_buffer strips_0_to_1(dist::dist_solver& solver, std::size_t extra) {
+  net::archive_writer w;
+  for (const auto& msg : solver.plan().messages) {
+    if (msg.src_locality != 0 || msg.dst_locality != 1) continue;
+    for (std::size_t k = 0; k < msg.ghosts.size(); ++k) {
+      const auto dps = solver.sd_tiling().recv_rect(msg.ghosts[k].dir).area();
+      w.write(std::vector<double>(static_cast<std::size_t>(dps) + (k == 0 ? extra : 0), 1.0));
+    }
+  }
+  return w.take();
+}
+
+}  // namespace
+
+TEST(GhostMessage, PlantedWellFormedMessageIsDecoded) {
+  // The control for the death tests below: planting itself is harmless.
+  step_with_planted([](dist::dist_solver& s) { return strips_0_to_1(s, 0); });
+}
+
+TEST(GhostMessageDeathTest, TruncatedMessageAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(step_with_planted([](dist::dist_solver& s) {
+                 auto buf = strips_0_to_1(s, 0);
+                 buf.resize(buf.size() - sizeof(double));
+                 return buf;
+               }),
+               "underrun");
+}
+
+TEST(GhostMessageDeathTest, TrailingBytesAbort) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(step_with_planted([](dist::dist_solver& s) {
+                 auto buf = strips_0_to_1(s, 0);
+                 buf.push_back(std::byte{0});
+                 return buf;
+               }),
+               "trailing bytes");
+}
+
+TEST(GhostMessageDeathTest, StripThatDoesNotFitItsCollarAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(step_with_planted([](dist::dist_solver& s) { return strips_0_to_1(s, 1); }),
+               "does not match the collar");
+}
+
+// ------------------------------------------------ a throwing scenario ----
+
+namespace {
+
+/// Test-only scenario whose source_into throws for every rectangle that
+/// reads across the column split of a 2x2 grid. Those are the strips gated
+/// on a message, so with late messages they run inside an unpack.
+class throwing_strip_scenario final : public api::scenario {
+ public:
+  std::string name() const override { return "throwing_strip"; }
+  double initial(double x1, double x2) const override { return x1 * x2; }
+  void source_into(const api::scenario_context& ctx, double, const std::vector<double>&,
+                   const nl::dp_rect& rect, std::vector<double>& out) const override {
+    const int mid = ctx.grid->n() / 2, w = ctx.grid->ghost();
+    if (rect.col_begin < mid + w && rect.col_end > mid - w)
+      throw std::runtime_error("scenario bug in a gated strip");
+    for (int i = rect.row_begin; i < rect.row_end; ++i)
+      for (int j = rect.col_begin; j < rect.col_end; ++j) out[ctx.grid->flat(i, j)] = 0.0;
+  }
+};
+
+}  // namespace
+
+TEST(ScenarioThrowDeathTest, ThrowInAStripRunByAnUnpackEndsTheProcess) {
+  // scenario.hpp: a throw from the scenario ends the process, on whichever
+  // part runs the rectangle; it must never leave step() waiting forever.
+  // If it does, SIGALRM kills the child after 5 s without the expected
+  // message, which fails the test instead of hanging it.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        alarm(5);
+        dist::dist_config cfg;
+        cfg.sd_rows = cfg.sd_cols = 2;
+        cfg.sd_size = 8;
+        cfg.epsilon_factor = 2;
+        cfg.schedule = dist::overlap_schedule::per_direction;
+        const dist::tiling t(2, 2, 8, 2);
+        dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 1, 0, 1}),
+                                 std::make_shared<throwing_strip_scenario>());
+        solver.set_initial_condition();
+        solver.comm().set_delay_model([](int, int, std::uint64_t) { return 0.05; });
+        solver.step();
+      },
+      "terminate called");
 }

@@ -620,3 +620,41 @@ TEST(Traffic, ReplayDrivesTheServiceToATerminalStateForEveryArrival) {
   }
   EXPECT_EQ(accounted, 60u);
 }
+
+TEST(Scheduler, CanBeDestroyedRightAfterWaitIdleOrDrain) {
+  // A worker finishes an item in a pool-task epilogue that still uses the
+  // scheduler: it frees the slot, dispatches, sheds expired work through
+  // callbacks and wakes the waiters. wait_idle() and drain() must not
+  // return before that epilogue is done, or the owner destroys the
+  // scheduler under it (ThreadSanitizer reports the race, AddressSanitizer
+  // the use after free). Every round destroys its scheduler right away;
+  // odd rounds also expire queued interactive work so the epilogue sheds.
+  nlh::amt::thread_pool pool(2);
+  for (int round = 0; round < 300; ++round) {
+    std::atomic<double> clock{0.0};
+    auto sched = std::make_unique<svc::class_scheduler>(
+        svc::scheduler_options{svc::qos_config{}, 1}, pool,
+        [&clock] { return clock.load(); });
+    std::atomic<int> ran{0}, shed{0};
+    const bool expire = round % 2 == 1;
+    for (int i = 0; i < 4; ++i) {
+      svc::sched_item item;
+      item.cls = i == 0 ? svc::qos_class::batch : svc::qos_class::interactive;
+      item.seq = static_cast<std::uint64_t>(i);
+      item.run = [&clock, &ran, expire] {
+        // Past the interactive deadline: the items still queued expire.
+        if (expire) clock.store(10.0);
+        ran.fetch_add(1);
+      };
+      item.shed = [&shed](const std::string&) { shed.fetch_add(1); };
+      ASSERT_EQ(sched->enqueue(std::move(item)),
+                svc::class_scheduler::enqueue_result::queued);
+    }
+    if (round % 3 == 2)
+      EXPECT_TRUE(sched->drain(10.0).clean());
+    else
+      sched->wait_idle();
+    sched.reset();
+    EXPECT_EQ(ran.load() + shed.load(), 4) << "round " << round;
+  }
+}
