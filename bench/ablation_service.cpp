@@ -44,7 +44,7 @@ using namespace nlh;
 struct run_result {
   svc::service_stats stats;
   double interactive_p99 = 0.0;  ///< step latency, seconds
-  double batch_jobs_per_second = 0.0;
+  double batch_class_jobs_per_second = 0.0;
 };
 
 run_result run_trace(const std::vector<svc::arrival>& trace, bool qos_on) {
@@ -65,7 +65,7 @@ run_result run_trace(const std::vector<svc::arrival>& trace, bool qos_on) {
   r.interactive_p99 = r.stats.of(svc::qos_class::interactive).step_latency.p99;
   const auto& batch = r.stats.of(svc::qos_class::batch);
   if (r.stats.wall_seconds > 0.0)
-    r.batch_jobs_per_second =
+    r.batch_class_jobs_per_second =
         static_cast<double>(batch.completed) / r.stats.wall_seconds;
   return r;
 }
@@ -123,11 +123,11 @@ int main() {
       qos = q;
     } else {
       fifo.interactive_p99 = std::min(fifo.interactive_p99, f.interactive_p99);
-      fifo.batch_jobs_per_second =
-          std::max(fifo.batch_jobs_per_second, f.batch_jobs_per_second);
+      fifo.batch_class_jobs_per_second = std::max(
+          fifo.batch_class_jobs_per_second, f.batch_class_jobs_per_second);
       qos.interactive_p99 = std::min(qos.interactive_p99, q.interactive_p99);
-      qos.batch_jobs_per_second =
-          std::max(qos.batch_jobs_per_second, q.batch_jobs_per_second);
+      qos.batch_class_jobs_per_second = std::max(
+          qos.batch_class_jobs_per_second, q.batch_class_jobs_per_second);
     }
   }
   print_run("fifo (no QoS)", fifo);
@@ -137,8 +137,8 @@ int main() {
       qos.interactive_p99 > 0.0 ? fifo.interactive_p99 / qos.interactive_p99
                                 : 0.0;
   const double throughput_frac =
-      fifo.batch_jobs_per_second > 0.0
-          ? qos.batch_jobs_per_second / fifo.batch_jobs_per_second
+      fifo.batch_class_jobs_per_second > 0.0
+          ? qos.batch_class_jobs_per_second / fifo.batch_class_jobs_per_second
           : 0.0;
 
   const bool latency_pass = latency_ratio >= gate_latency_ratio;
@@ -152,7 +152,7 @@ int main() {
               latency_pass ? "PASS" : "FAIL");
   std::printf("  batch throughput: %.1f jobs/s (fifo) vs %.1f jobs/s (qos) "
               "-> %.0f%% retained (gate >= %.0f%%): %s\n",
-              fifo.batch_jobs_per_second, qos.batch_jobs_per_second,
+              fifo.batch_class_jobs_per_second, qos.batch_class_jobs_per_second,
               throughput_frac * 100.0, gate_throughput_frac * 100.0,
               throughput_pass ? "PASS" : "FAIL");
   std::printf("  trace checksum %016llx == %016llx: %s\n",
@@ -180,7 +180,7 @@ int main() {
       "  \"pass\": %s,\n"
       "  \"interactive_p99_s\": {\"fifo\": %.6f, \"qos\": %.6f, "
       "\"ratio\": %.3f, \"pass\": %s},\n"
-      "  \"batch_jobs_per_second\": {\"fifo\": %.3f, \"qos\": %.3f, "
+      "  \"batch_class_jobs_per_second\": {\"fifo\": %.3f, \"qos\": %.3f, "
       "\"retained\": %.3f, \"pass\": %s},\n"
       "  \"shed\": {\"fifo\": %llu, \"qos\": %llu},\n"
       "  \"trace_checksum\": \"%016llx\", \"deterministic\": %s\n"
@@ -190,7 +190,8 @@ int main() {
       gate_latency_ratio, gate_throughput_frac * 100.0,
       pass ? "true" : "false", fifo.interactive_p99, qos.interactive_p99,
       latency_ratio, latency_pass ? "true" : "false",
-      fifo.batch_jobs_per_second, qos.batch_jobs_per_second, throughput_frac,
+      fifo.batch_class_jobs_per_second, qos.batch_class_jobs_per_second,
+      throughput_frac,
       throughput_pass ? "true" : "false",
       static_cast<unsigned long long>(
           fifo.stats.of(svc::qos_class::interactive).shed +

@@ -8,9 +8,10 @@
 /// The guard is the regression fence for the compression claim
 /// (docs/checkpoint.md): on a smooth compact-support pulse field the delta
 /// codec must checkpoint at least `min_smooth_ratio` (3x) smaller than raw,
-/// and a 16-tenant batch under a resident cap of 4 must actually hold 4x
-/// more sessions than the cap. The dense crack field's ratio is *reported*
-/// (full-entropy fields hover near 1x by design) but never gated.
+/// and 16 persistent tenants of one svc::service_loop under a resident
+/// cap of 4 must actually hold 4x more sessions than the cap. The dense
+/// crack field's ratio is *reported* (full-entropy fields hover near 1x by
+/// design) but never gated.
 /// Hibernate/restore latencies ride along for trend tracking. Set
 /// NLH_BENCH_CHECKPOINT_JSON to redirect the report (default:
 /// ./BENCH_checkpoint.json).
@@ -25,13 +26,13 @@
 #include <string>
 #include <vector>
 
-#include "api/batch.hpp"
 #include "api/scenario.hpp"
 #include "api/session.hpp"
 #include "ckpt/codec.hpp"
 #include "dist/dist_solver.hpp"
 #include "dist/ownership.hpp"
 #include "support/stopwatch.hpp"
+#include "svc/service.hpp"
 
 namespace api = nlh::api;
 namespace ckpt = nlh::ckpt;
@@ -200,29 +201,26 @@ bool run_checkpoint_guard(const char* path) {
   measure_hibernate_restore(&hibernate_ms, &restore_ms);
 
   // Multi-tenant demo: 16 persistent tenants under a resident cap of 4 —
-  // the runner must hold 4x more sessions than the cap allows in memory.
-  api::batch_options bopt;
-  bopt.pool_threads = 2;
-  bopt.max_concurrent_jobs = 2;
-  bopt.hibernation.enabled = true;
-  bopt.hibernation.resident_cap = resident_cap;
+  // the service must hold 4x more sessions than the cap allows in memory.
+  nlh::svc::service_options sopt;
+  sopt.pool_threads = 2;
+  sopt.hibernation.enabled = true;
+  sopt.hibernation.resident_cap = resident_cap;
   std::size_t held = 0, resident = 0;
   {
-    api::batch_runner runner(bopt);
-    api::session_options so;
-    so.scenario = "gaussian_pulse";
-    so.n = 32;
-    so.epsilon_factor = 2;
+    nlh::svc::service_loop loop(sopt);
+    nlh::svc::svc_job job;
+    job.options.scenario = "gaussian_pulse";
+    job.options.n = 32;
+    job.options.epsilon_factor = 2;
+    job.num_steps = 2;
     for (int i = 0; i < tenants; ++i) {
-      api::batch_job job;
-      job.options = so;
-      job.num_steps = 2;
       job.session_key = "tenant-" + std::to_string(i);
-      runner.submit(std::move(job));
+      loop.submit(job.session_key, nlh::svc::qos_class::batch, job);
     }
-    runner.wait_all();
-    held = runner.hibernation()->session_count();
-    resident = runner.hibernation()->resident_count();
+    loop.wait_idle();
+    held = loop.hibernation()->session_count();
+    resident = loop.hibernation()->resident_count();
   }
   const double tenants_per_cap =
       static_cast<double>(held) / static_cast<double>(resident_cap);
@@ -244,7 +242,7 @@ bool run_checkpoint_guard(const char* path) {
               static_cast<unsigned long long>(crack_delta), crack_ratio);
   std::printf("  hibernate %.3f ms   restore %.3f ms (64x64 serial, best of 5)\n",
               hibernate_ms, restore_ms);
-  std::printf("  batch: %zu tenants held, %zu resident (cap %zu) -> %.1fx "
+  std::printf("  service: %zu tenants held, %zu resident (cap %zu) -> %.1fx "
               "(gate >= 4x)\n",
               held, resident, resident_cap, tenants_per_cap);
 

@@ -2,14 +2,13 @@
 /// \file micro_runtime.cpp
 /// \brief Microbenchmarks of the mini-AMT runtime: async launch/get
 /// round-trip, then-continuation chaining, when_all fan-in, the
-/// single-dependency hop the ghost exchange uses (dataflow_one), and the
-/// counter registry.
+/// single-dependency hop the ghost exchange uses (dataflow_one) and task
+/// throughput.
 ///
 
 #include <benchmark/benchmark.h>
 
 #include "amt/async.hpp"
-#include "amt/counters.hpp"
 #include "amt/thread_pool.hpp"
 
 namespace amt = nlh::amt;
@@ -78,12 +77,3 @@ static void BM_TaskThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_TaskThroughput)->Arg(1)->Arg(2)->Arg(4);
-
-static void BM_CounterPoll(benchmark::State& state) {
-  amt::thread_pool pool(1, /*locality=*/17);
-  auto& reg = amt::counter_registry::instance();
-  const auto path = amt::busy_time_path(17);
-  for (auto _ : state) benchmark::DoNotOptimize(reg.value(path));
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CounterPoll);

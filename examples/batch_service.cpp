@@ -1,13 +1,13 @@
 ///
 /// \file batch_service.cpp
 /// \brief Multi-tenant service demo: sweep scenarios x kernel backends x
-/// execution modes concurrently through `nlh::api::batch_runner` over one
-/// shared AMT pool, then cross-check every serial/distributed pair for the
-/// per-job bitwise guarantee and report aggregate throughput.
+/// execution modes concurrently through `nlh::svc::service_loop` (FIFO,
+/// QoS classes off) over one shared AMT pool, then cross-check every
+/// serial/distributed pair for the per-job bitwise guarantee and report
+/// aggregate throughput.
 ///
 /// Usage: batch_service [--n 32] [--eps-factor 2] [--steps 5] [--sd-grid 4]
 ///                      [--nodes 2] [--pool-threads 4] [--cap 3]
-///                      [--policy fifo|priority]
 ///                      [--schedule bulk_sync|coarse|per_direction]
 ///                      [--json PATH] [--soak]
 ///                      [--auto-rebalance] [--hibernate] [--resident-cap 3]
@@ -40,7 +40,7 @@
 /// `--json` metrics file as an artifact.
 ///
 /// `--hibernate` (default on under --soak) makes every job a *persistent
-/// tenant* (batch_job::session_key) and turns on LRU hibernation to cold
+/// tenant* (svc_job::session_key) and turns on LRU hibernation to cold
 /// storage with at most `--resident-cap` tenant sessions in memory
 /// (docs/checkpoint.md). Each tenant's step budget is split across
 /// `--rounds` jobs (default 2 when hibernating), so parked tenants really
@@ -51,14 +51,15 @@
 ///
 /// `--auto-rebalance` (default on under --soak) turns on live Algorithm 1
 /// rebalancing (docs/balance.md) for every distributed job; the rebalance
-/// observables then land in `--metrics-out` as
-/// `api/job/<label>/balance/...`, which the nightly soak asserts on.
+/// totals then land in `--metrics-out` as `svc/balance/...`, which the
+/// nightly soak asserts on.
 ///
 /// `--trace-out` enables span tracing for the whole batch and writes a
 /// Chrome-tracing / Perfetto JSON timeline; `--metrics-out` writes the
-/// runner's full metrics snapshot (per-session step-latency histograms,
-/// queue-wait, bridged AGAS counters) — see docs/observability.md. The
-/// nightly soak passes both and uploads the files as artifacts.
+/// service's full metrics snapshot (queue-wait and step-latency
+/// histograms, tenants, balance and hibernation views) — see
+/// docs/observability.md. The nightly soak passes both and uploads the
+/// files as artifacts.
 ///
 /// Exit status: 0 when every job succeeded (and, in sweep mode, every
 /// serial/distributed pair agreed bitwise); 1 otherwise.
@@ -72,7 +73,6 @@
 #include <string>
 #include <vector>
 
-#include "api/batch.hpp"
 #include "dist/dist_solver.hpp"
 #include "obs/config.hpp"
 #include "obs/trace_export.hpp"
@@ -196,19 +196,25 @@ double max_abs_diff(const nlh::nonlocal::grid2d& g, const std::vector<double>& a
   return m;
 }
 
-void write_json(const std::string& path, const api::batch_metrics& agg,
-                const std::vector<api::batch_job_result>& results, bool soak) {
+/// Sweep totals; `total_steps` counts the steps of the jobs that finished.
+struct sweep_totals {
+  std::size_t submitted = 0, completed = 0;
+  long long total_steps = 0;
+  double wall_seconds = 0.0, jobs_per_second = 0.0;
+};
+
+void write_json(const std::string& path, const sweep_totals& agg,
+                const std::vector<svc::svc_result>& results, bool soak) {
   std::ofstream out(path);
   if (!out) {
     std::cerr << "batch_service: cannot write " << path << "\n";
     return;
   }
   out << "{\n  \"mode\": \"" << (soak ? "soak" : "sweep") << "\",\n";
-  out << "  \"aggregate\": {\"jobs_submitted\": " << agg.jobs_submitted
-      << ", \"jobs_completed\": " << agg.jobs_completed
-      << ", \"jobs_failed\": " << agg.jobs_failed
+  out << "  \"aggregate\": {\"jobs_submitted\": " << agg.submitted
+      << ", \"jobs_completed\": " << agg.completed
+      << ", \"jobs_failed\": " << agg.submitted - agg.completed
       << ", \"total_steps\": " << agg.total_steps
-      << ", \"ghost_bytes\": " << agg.ghost_bytes
       << ", \"wall_seconds\": " << agg.wall_seconds
       << ", \"jobs_per_second\": " << agg.jobs_per_second << "},\n";
   out << "  \"jobs\": [\n";
@@ -247,16 +253,14 @@ int main(int argc, char** argv) try {
   const std::string metrics_path = cli.get("metrics-out", "");
   if (!trace_path.empty()) nlh::obs::set_tracing_enabled(true);
 
-  api::batch_options bopt;
-  bopt.pool_threads = static_cast<unsigned>(cli.get_int("pool-threads", 4));
-  bopt.max_concurrent_jobs = cli.get_int("cap", 3);
-  // Closed value set mapped straight to the enum: a typo'd policy aborts
-  // with the valid spellings instead of silently running the default.
-  bopt.admission = cli.get_enum<api::admission_policy>(
-      "policy", api::admission_policy::fifo,
-      {{"fifo", api::admission_policy::fifo},
-       {"priority", api::admission_policy::priority}});
-  // Overlap schedule for the distributed jobs, same closed-set contract
+  // One FIFO over every job: QoS classes, deadlines and quotas are the
+  // --service mode's business, not the sweep's.
+  svc::service_options sopt;
+  sopt.pool_threads = static_cast<unsigned>(cli.get_int("pool-threads", 4));
+  sopt.max_concurrent = cli.get_int("cap", 3);
+  sopt.qos.enabled = false;
+  // Overlap schedule for the distributed jobs: a closed value set mapped
+  // straight to the enum, so a typo aborts with the valid spellings
   // (session_options carries it by name; dist/dist_solver.hpp).
   const nlh::dist::overlap_schedule sched =
       cli.get_enum<nlh::dist::overlap_schedule>(
@@ -266,8 +270,8 @@ int main(int argc, char** argv) try {
            {"per_direction", nlh::dist::overlap_schedule::per_direction}});
   const std::string schedule_name = nlh::dist::overlap_schedule_name(sched);
   if (hibernate) {
-    bopt.hibernation.enabled = true;
-    bopt.hibernation.resident_cap = static_cast<std::size_t>(resident_cap);
+    sopt.hibernation.enabled = true;
+    sopt.hibernation.resident_cap = static_cast<std::size_t>(resident_cap);
   }
 
   const std::vector<std::string> scenarios = {"manufactured", "gaussian_pulse",
@@ -279,7 +283,7 @@ int main(int argc, char** argv) try {
   std::mutex fields_mu;
   std::map<std::string, captured_field> fields;
 
-  std::vector<api::batch_job> jobs;
+  std::vector<svc::svc_job> jobs;
   // Round-major submission order: round 0 of *every* tenant runs before any
   // round 1, so under --hibernate the whole roster cycles through the
   // resident cap between rounds — each tenant is parked, LRU-evicted to
@@ -290,7 +294,7 @@ int main(int argc, char** argv) try {
         for (const char* mode : {"serial", "distributed"}) {
           if (soak && std::string(mode) == "serial") continue;  // all-dist
           const std::string key = scn + "/" + backend + "/" + mode;
-          api::batch_job job;
+          svc::svc_job job;
           job.options.scenario = scn;
           job.options.kernel_backend = backend;
           job.options.n = n;
@@ -302,10 +306,6 @@ int main(int argc, char** argv) try {
                                  ? api::execution_mode::serial
                                  : api::execution_mode::distributed;
           job.options.overlap_schedule = schedule_name;
-          // Queue-wait split per mode: serial jobs are the short/cheap
-          // class of this sweep, distributed the heavy one —
-          // api/batch/queue_wait_seconds/<mode> in the metrics snapshot.
-          job.admission_class = mode;
           if (auto_rebalance &&
               job.options.mode == api::execution_mode::distributed) {
             // Live Algorithm 1 loop on every distributed tenant: sample
@@ -339,17 +339,34 @@ int main(int argc, char** argv) try {
             << (soak ? ", distributed soak" : " x 2 modes") << "), " << n << "x"
             << n << " mesh, " << sd_grid << "x" << sd_grid << " SDs, " << nodes
             << " localities, " << steps << " steps; cap "
-            << bopt.max_concurrent_jobs << " over " << bopt.pool_threads
+            << sopt.max_concurrent << " over " << sopt.pool_threads
             << " pool threads"
             << (auto_rebalance ? "; auto-rebalance on distributed jobs" : "")
             << "\n\n";
 
-  api::batch_runner runner(bopt);
-  auto futures = runner.submit_all(std::move(jobs));
+  svc::service_loop loop(sopt);
+  std::vector<nlh::amt::future<svc::svc_result>> futures;
+  std::vector<int> job_steps;
+  for (auto& job : jobs) {
+    job_steps.push_back(job.num_steps);
+    // One quota tenant per key, so the per-tenant caps never bind.
+    const std::string tenant =
+        job.session_key.empty() ? job.label : job.session_key;
+    futures.push_back(
+        loop.submit(tenant, svc::qos_class::batch, std::move(job)));
+  }
 
-  std::vector<api::batch_job_result> results;
+  std::vector<svc::svc_result> results;
   results.reserve(futures.size());
-  for (auto& f : futures) results.push_back(f.get());
+  sweep_totals agg;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    results.push_back(futures[i].get());
+    ++agg.submitted;
+    if (results.back().ok) {
+      ++agg.completed;
+      agg.total_steps += job_steps[i];
+    }
+  }
 
   nlh::support::table out({"job", "ok", "steps", "wall-s", "ghost-KiB", "backend"});
   bool all_ok = true;
@@ -389,15 +406,14 @@ int main(int argc, char** argv) try {
     all_ok = all_ok && mismatches == 0 && pairs > 0;
   }
 
-  const auto agg = runner.aggregate();
-  std::cout << "aggregate: " << agg.jobs_completed << "/" << agg.jobs_submitted
-            << " jobs ok, " << agg.total_steps << " steps, "
-            << static_cast<double>(agg.ghost_bytes) / (1024.0 * 1024.0)
-            << " MiB ghost traffic, " << agg.wall_seconds << " s wall, "
-            << agg.jobs_per_second << " jobs/s\n";
+  const auto totals = loop.stats();
+  agg.wall_seconds = totals.wall_seconds;
+  agg.jobs_per_second = totals.jobs_per_second;
+  std::cout << "aggregate: " << agg.completed << "/" << agg.submitted
+            << " jobs ok, " << agg.total_steps << " steps, " << agg.wall_seconds
+            << " s wall, " << agg.jobs_per_second << " jobs/s\n";
 
-  if (hibernate && runner.hibernation()) {
-    const auto* hib = runner.hibernation();
+  if (const auto* hib = loop.hibernation()) {
     const auto st = hib->current_stats();
     const double ratio =
         st.bytes_encoded > 0
@@ -408,7 +424,7 @@ int main(int argc, char** argv) try {
               << "), " << st.hibernates << " hibernates / " << st.restores
               << " restores, " << st.bytes_raw / 1024 << " KiB raw -> "
               << st.bytes_encoded / 1024 << " KiB cold (" << ratio << "x)\n";
-    // The service claim (docs/checkpoint.md): the runner holds at least 4x
+    // The service claim (docs/checkpoint.md): the service holds at least 4x
     // more tenant sessions than the resident cap keeps in memory, and
     // multi-round tenants really made the cold-storage round trip.
     if (hib->session_count() < 4 * static_cast<std::size_t>(resident_cap)) {
@@ -425,7 +441,7 @@ int main(int argc, char** argv) try {
   if (!json_path.empty()) write_json(json_path, agg, results, soak);
 
   if (!metrics_path.empty()) {
-    runner.dump_metrics(metrics_path);
+    loop.dump_metrics(metrics_path);
     std::cout << "metrics snapshot written to " << metrics_path << "\n";
   }
   if (!trace_path.empty()) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "amt/counters.hpp"
 #include "obs/tracer.hpp"
 #include "support/assert.hpp"
 
@@ -20,12 +19,6 @@ thread_pool::thread_pool(unsigned num_threads, int locality) : locality_(localit
   workers_.reserve(num_threads);
   for (unsigned i = 0; i < num_threads; ++i)
     workers_.emplace_back([this, i] { worker_loop(i); });
-
-  if (locality_ >= 0) {
-    counter_registry::instance().register_counter(
-        busy_time_path(locality_), [this] { return busy_fraction(); },
-        [this] { reset_busy_time(); });
-  }
 }
 
 thread_pool::~thread_pool() {
@@ -33,8 +26,6 @@ thread_pool::~thread_pool() {
   { std::lock_guard lk(sleep_m_); }
   work_cv_.notify_all();
   for (auto& w : workers_) w.join();
-  if (locality_ >= 0)
-    counter_registry::instance().unregister_counter(busy_time_path(locality_));
 }
 
 void thread_pool::post(unique_function<void()> task) {

@@ -7,9 +7,8 @@
 /// Each worker owns a deque; `post` from a worker pushes to its own deque
 /// (LIFO hot path), external posts go to a shared inject queue, and idle
 /// workers steal FIFO from victims. Busy time (wall time spent executing
-/// tasks) is accumulated per worker and exposed through the counter registry
-/// as `/threads{locality#L/total}/busy_time`, the observable Algorithm 1
-/// consumes.
+/// tasks) is accumulated per worker and read through `busy_fraction()`,
+/// the paper's busy_time counter and the observable Algorithm 1 consumes.
 ///
 
 #include <atomic>
@@ -30,8 +29,8 @@ namespace nlh::amt {
 class thread_pool {
  public:
   /// \param num_threads worker count (>= 1)
-  /// \param locality    id used for the busy_time counter path; pass -1 to
-  ///                    skip counter registration (unit tests).
+  /// \param locality    locality the pool serves, used in the workers'
+  ///                    trace track names (`loc<L>/worker-<i>`); -1 = none.
   explicit thread_pool(unsigned num_threads, int locality = -1);
   ~thread_pool();
 

@@ -20,8 +20,8 @@
 /// stepping body), and the kernel backend is owned *per session* — the
 /// solver's stencil_plan is pinned at construction, never a process
 /// global — so sessions with different backends run concurrently in one
-/// process, each bitwise equal to its solo run. `api/batch.hpp` builds a
-/// multi-job service on top of this.
+/// process, each bitwise equal to its solo run. `svc/service.hpp` builds
+/// the multi-job service on top of this.
 ///
 
 #include <cstdint>
@@ -87,11 +87,10 @@ struct session_options {
   int sd_grid = 4;   ///< SDs per dimension; n must divide evenly
   int nodes = 2;     ///< localities
   int threads_per_locality = 1;
-  bool overlap_communication = true;
   /// Ghost-exchange schedule: "per_direction" (default — each case-1 strip
   /// waits only on the ghost arrivals it reads), "coarse" (all of an SD's
-  /// strips gate on all of its ghosts) or "bulk_sync" (no hiding).
-  /// `overlap_communication = false` forces bulk_sync (docs/overlap.md).
+  /// strips gate on all of its ghosts) or "bulk_sync" (no hiding;
+  /// docs/overlap.md).
   std::string overlap_schedule = "per_direction";
   partition_strategy partitioner = partition_strategy::multilevel;
   /// Live Algorithm 1 auto-rebalancing (docs/balance.md): when enabled the
@@ -106,9 +105,8 @@ struct session_options {
   /// "scalar", "row_run", "simd" or "avx512"; pins *this session's* kernel
   /// backend (the solver's stencil_plan is pinned at construction — no
   /// process global is touched, so sessions with different backends
-  /// coexist). Empty = follow the process default, which still resolves
-  /// through the deprecated NLH_KERNEL_BACKEND environment variable as a
-  /// fallback (see docs/api.md).
+  /// coexist). Empty = follow the process default: the CMake-configured
+  /// backend, else the best available one (see docs/api.md).
   std::string kernel_backend;
   /// Blocked-execution overrides for this session's kernel cache model
   /// (docs/kernels.md): zero fields derive from the probed cache geometry;
@@ -126,7 +124,7 @@ struct session_options {
   /// it, bitwise identical. `hibernation.codec` also selects the frame
   /// codec of the distributed solver's checkpoint path. Multi-tenant LRU
   /// eviction against `resident_cap` lives one level up, in
-  /// `batch_options::hibernation`.
+  /// `svc::service_options::hibernation`.
   ckpt::hibernation_options hibernation;
 };
 
@@ -187,8 +185,8 @@ struct runtime_metrics {
   double rebalance_imbalance_after = 0.0;
   /// Hibernation round trips of this handle's session-owned manager
   /// (docs/checkpoint.md); genuine zeros when
-  /// `session_options::hibernation` was disabled (batch-level hibernation
-  /// accounts at the runner instead).
+  /// `session_options::hibernation` was disabled (tenant hibernation
+  /// accounts at the service instead).
   std::uint64_t hibernates = 0;
   std::uint64_t restores = 0;
 };
@@ -280,11 +278,11 @@ class solver_handle {
   bool hibernated() const;
 
   /// Low-level primitives for an external ckpt::hibernation_manager (the
-  /// batch_runner's LRU layer): serialize the full solver state into a
-  /// self-contained blob (encoding into `reuse`'s recycled capacity) and
+  /// service_loop's tenant LRU layer): serialize the full solver state into
+  /// a self-contained blob (encoding into `reuse`'s recycled capacity) and
   /// release the in-memory solver / rebuild it from such a blob. The
   /// managing layer must serialize these against all stepping of the same
-  /// handle (batch admission does). Without a manager, a released handle
+  /// handle (the service runs one job per tenant key at a time). Without a manager, a released handle
   /// asserts on use until import_state() runs.
   ckpt::snapshot_blob export_and_release(net::byte_buffer reuse = {});
   void import_state(const net::byte_buffer& bytes);

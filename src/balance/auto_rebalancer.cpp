@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "amt/counters.hpp"
 #include "balance/load_model.hpp"
 #include "dist/dist_solver.hpp"
 #include "obs/tracer.hpp"
@@ -19,18 +18,13 @@ namespace nlh::balance {
 
 namespace {
 
-/// The run_real_balancing sampling path: prefer the AGAS-style registry
-/// counter (the paper's observable surface; try_value degrades to the
-/// direct pool reading instead of crashing when a counter vanished), fall
-/// back to the solver's own pools.
+/// Each locality's pool busy fraction over the window since the last
+/// reset: the paper's busy_time counter.
 std::vector<double> default_sample(const dist::dist_solver& solver) {
-  auto& reg = amt::counter_registry::instance();
   std::vector<double> busy;
   busy.reserve(static_cast<std::size_t>(solver.owners().num_nodes()));
-  for (int l = 0; l < solver.owners().num_nodes(); ++l) {
-    const auto polled = reg.try_value(amt::busy_time_path(l));
-    busy.push_back(polled ? *polled : solver.busy_fraction(l));
-  }
+  for (int l = 0; l < solver.owners().num_nodes(); ++l)
+    busy.push_back(solver.busy_fraction(l));
   return busy;
 }
 

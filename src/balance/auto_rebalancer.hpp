@@ -6,7 +6,7 @@
 /// is imbalanced enough to act, and execute a bounded batch of epoch-tagged
 /// `migrate_sd` calls (docs/balance.md).
 ///
-/// Where the offline drivers (sim_driver/real_driver) own the stepping
+/// Where the offline virtual-time driver (sim_driver) owns the stepping
 /// loop, the auto_rebalancer is owned *by* the solver: `dist_solver`
 /// constructs one when `dist_config::rebalance.enabled` and calls
 /// `on_step()` after every completed step, so rebalancing interleaves with
@@ -32,11 +32,9 @@ namespace nlh::balance {
 
 class auto_rebalancer {
  public:
-  /// Replaces the default busy-time source (the counter_registry
-  /// `busy_time_path(l)` poll with a `dist_solver::busy_fraction(l)`
-  /// fallback, as in run_real_balancing). Returns one busy value per
-  /// locality; tests inject synthetic loads here to make move sequences
-  /// deterministic.
+  /// Replaces the default busy-time source, `dist_solver::busy_fraction(l)`
+  /// per locality. Returns one busy value per locality; tests inject
+  /// synthetic loads here to make move sequences deterministic.
   using busy_sampler =
       std::function<std::vector<double>(const dist::dist_solver&)>;
   /// Observes every epoch's balance_report right after its migrations

@@ -18,8 +18,8 @@
 /// how `api::solver_handle` plugs in without this layer depending on the
 /// api facade. Callbacks run under the manager mutex, so hibernates and
 /// restores serialize across sessions; per-session callers must already be
-/// serialized (batch_runner admission guarantees it) since activate/park
-/// pairs for one key must not interleave.
+/// serialized (svc::service_loop runs one job per tenant key at a time)
+/// since activate/park pairs for one key must not interleave.
 ///
 
 #include <cstdint>
@@ -35,8 +35,8 @@
 
 namespace nlh::ckpt {
 
-/// Knobs surfaced as `api::session_options::hibernation` and the
-/// batch_runner equivalents.
+/// Knobs surfaced as `api::session_options::hibernation` and
+/// `svc::service_options::hibernation`.
 struct hibernation_options {
   bool enabled = false;
   /// Soft ceiling on in-memory sessions: parked residents are evicted
@@ -107,7 +107,7 @@ class hibernation_manager {
   const hibernation_options& options() const { return opt_; }
   checkpoint_store& store() { return *store_; }
 
-  /// Lifetime totals for programmatic checks (bench gate, batch summary).
+  /// Lifetime totals for programmatic checks (bench gate, example summary).
   struct stats {
     std::uint64_t hibernates = 0;
     std::uint64_t restores = 0;

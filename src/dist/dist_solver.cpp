@@ -153,7 +153,7 @@ dist_solver::dist_solver(const dist_config& cfg, ownership_map own,
   pools_.reserve(static_cast<std::size_t>(own_.num_nodes()));
   for (int l = 0; l < own_.num_nodes(); ++l)
     pools_.push_back(std::make_unique<amt::thread_pool>(
-        static_cast<unsigned>(cfg.threads_per_locality)));
+        static_cast<unsigned>(cfg.threads_per_locality), l));
 
   blocks_.reserve(static_cast<std::size_t>(tiling_.num_sds()));
   lu_.reserve(static_cast<std::size_t>(tiling_.num_sds()));

@@ -75,13 +75,9 @@ struct dist_config {
   double dt_safety = 0.5;
   nonlocal::influence_kind kind = nonlocal::influence_kind::constant;
   int threads_per_locality = 1;
-  /// false = bulk-synchronous baseline: wait for every ghost before any
-  /// compute. Same data exchanged, no communication hiding. Kept for
-  /// backward compatibility; false forces `schedule = bulk_sync`.
-  bool overlap_communication = true;
-  /// Which overlap schedule step() executes when overlap_communication is
-  /// true (see overlap_schedule; per_direction is the fastest and the
-  /// default, coarse and bulk_sync remain for ablation).
+  /// Which overlap schedule step() executes (see overlap_schedule;
+  /// per_direction is the fastest and the default, coarse and bulk_sync —
+  /// wait for every ghost before any compute — remain for ablation).
   overlap_schedule schedule = overlap_schedule::per_direction;
   /// Kernel backend this solver's plan is pinned to; nullopt keeps the
   /// plan following the process default (the historical behaviour).
@@ -163,11 +159,8 @@ class dist_solver {
   /// migration traffic).
   std::uint64_t ghost_bytes() const { return ghost_bytes_.load(); }
 
-  /// The schedule step() actually executes (bulk_sync when
-  /// overlap_communication was disabled, else dist_config::schedule).
-  overlap_schedule schedule() const {
-    return cfg_.overlap_communication ? cfg_.schedule : overlap_schedule::bulk_sync;
-  }
+  /// The schedule step() executes (dist_config::schedule).
+  overlap_schedule schedule() const { return cfg_.schedule; }
 
   /// Snapshot of the cumulative overlap observables (see overlap_stats).
   overlap_stats stats() const;

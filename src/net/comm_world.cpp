@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "amt/counters.hpp"
 #include "obs/tracer.hpp"
 #include "support/assert.hpp"
 
@@ -162,24 +161,6 @@ void comm_world::reset_traffic_from(int src) {
   }
 }
 
-void comm_world::register_counters(const std::string& prefix) {
-  NLH_ASSERT_MSG(counter_paths_.empty(), "comm_world: counters already registered");
-  auto& reg = amt::counter_registry::instance();
-  for (int i = 0; i < size(); ++i) {
-    const std::string loc = prefix + "{locality#" + std::to_string(i) + "}";
-    const std::string bytes_path = loc + "/bytes-sent";
-    const std::string msgs_path = loc + "/messages-sent";
-    reg.register_counter(
-        bytes_path, [this, i] { return static_cast<double>(bytes_from(i)); },
-        [this, i] { reset_traffic_from(i); });
-    reg.register_counter(
-        msgs_path, [this, i] { return static_cast<double>(messages_from(i)); },
-        [this, i] { reset_traffic_from(i); });
-    counter_paths_.push_back(bytes_path);
-    counter_paths_.push_back(msgs_path);
-  }
-}
-
 comm_world::~comm_world() {
   {
     std::lock_guard<std::mutex> lk(delay_m_);
@@ -187,8 +168,6 @@ comm_world::~comm_world() {
   }
   delay_cv_.notify_all();
   if (timer_.joinable()) timer_.join();
-  auto& reg = amt::counter_registry::instance();
-  for (const auto& path : counter_paths_) reg.unregister_counter(path);
 }
 
 }  // namespace nlh::net

@@ -70,17 +70,9 @@ class comm_world {
   /// Reset only the counters of messages originating at `src`.
   void reset_traffic_from(int src);
 
-  /// Register per-locality networking counters in the global registry (the
-  /// paper's future-work item: "networking counters"). Paths:
-  ///   <prefix>{locality#i}/bytes-sent
-  ///   <prefix>{locality#i}/messages-sent
-  /// Counters are unregistered on destruction. Safe to call once.
-  void register_counters(const std::string& prefix = "/network");
-
   ~comm_world();
 
  private:
-  std::vector<std::string> counter_paths_;
   std::size_t pair_index(int src, int dst) const;
 
   std::vector<std::unique_ptr<mailbox>> boxes_;

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 
 namespace nlh::nonlocal {
 
@@ -14,27 +13,9 @@ kernel_backend best_available_backend() {
   return kernel_simd_available() ? kernel_backend::simd : kernel_backend::row_run;
 }
 
-/// Env var > CMake default > best available. Resolved once, then cached in
-/// the atomic below.
+/// CMake default > best available. Resolved once, then cached in the
+/// atomic below.
 kernel_backend resolve_initial_backend() {
-  if (const char* env = std::getenv("NLH_KERNEL_BACKEND")) {
-    if (const auto parsed = parse_kernel_backend(env)) {
-      // Deliberately once per process (this resolver runs exactly once,
-      // from the function-local static below): the env var is a deprecated
-      // side channel; per-session selection goes through
-      // api::session_options::kernel_backend (docs/kernels.md).
-      std::fprintf(stderr,
-                   "nlh: NLH_KERNEL_BACKEND is deprecated; it still sets the "
-                   "process default (\"%s\") but per-session code should pass "
-                   "session_options::kernel_backend instead\n",
-                   env);
-      return *parsed;
-    }
-    std::fprintf(stderr,
-                 "nlh: ignoring invalid NLH_KERNEL_BACKEND=\"%s\" "
-                 "(expected scalar, row_run, simd or avx512)\n",
-                 env);
-  }
 #ifdef NLH_KERNEL_DEFAULT_BACKEND_NAME
   if (const auto parsed = parse_kernel_backend(NLH_KERNEL_DEFAULT_BACKEND_NAME))
     return *parsed;

@@ -13,9 +13,8 @@
 ///  - `avx512`  — explicit AVX-512F intrinsics in their own TU (falls back
 ///                to `simd`, then `row_run`, along the same runtime gate).
 ///
-/// The process *default* is resolved once per process: the (deprecated,
-/// warned-once) NLH_KERNEL_BACKEND environment variable wins, then the
-/// CMake-configured NLH_KERNEL_DEFAULT_BACKEND_NAME, then the best
+/// The process *default* is resolved once per process: the
+/// CMake-configured NLH_KERNEL_DEFAULT_BACKEND_NAME, else the best
 /// available backend. The default is only a fallback: each solver owns a
 /// stencil_plan that may pin its own backend (per-session selection via
 /// api::session_options::kernel_backend), so sessions with different

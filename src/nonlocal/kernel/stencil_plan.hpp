@@ -86,7 +86,7 @@ class stencil_plan {
 
   /// The backend a dispatch through this plan resolves to: the pinned one,
   /// else the process default at call time (so unpinned plans keep tracking
-  /// set_kernel_default_backend / NLH_KERNEL_BACKEND changes).
+  /// set_kernel_default_backend changes).
   kernel_backend backend() const {
     return backend_ ? *backend_ : kernel_default_backend();
   }

@@ -1,7 +1,6 @@
 ///
 /// \file metrics.cpp
-/// \brief Histogram bucketing/quantiles, the instrument registry and the
-/// amt::counter_registry bridge.
+/// \brief Histogram bucketing/quantiles and the instrument registry.
 ///
 
 #include "obs/metrics.hpp"
@@ -9,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "amt/counters.hpp"
 #include "support/assert.hpp"
 
 namespace nlh::obs {
@@ -155,15 +153,6 @@ metrics_snapshot metrics_registry::snapshot() const {
 metrics_registry& metrics_registry::global() {
   static metrics_registry reg;
   return reg;
-}
-
-void bridge_counter_registry(metrics_snapshot& into, const std::string& substring) {
-  auto& reg = amt::counter_registry::instance();
-  for (const auto& path : reg.paths_matching(substring)) {
-    // try_value: a counter unregistered between the enumeration and the
-    // poll (e.g. a pool torn down during migration) is skipped, not fatal.
-    if (const auto v = reg.try_value(path)) into.add_gauge(path, *v);
-  }
 }
 
 }  // namespace nlh::obs

@@ -6,7 +6,7 @@
 /// (docs/observability.md).
 ///
 /// Naming convention: `subsystem/entity/metric`, e.g.
-/// `dist/ghost/message_bytes` or `api/batch/queue_wait_seconds`. A
+/// `dist/ghost/message_bytes` or `svc/batch/queue_wait_seconds`. A
 /// `metrics_registry` maps names to instruments with stable addresses
 /// (look the instrument up once, record through the reference on the hot
 /// path); `snapshot()` freezes everything into a plain `metrics_snapshot`
@@ -98,7 +98,7 @@ class histogram {
 };
 
 /// Plain-data snapshot of a registry (plus anything callers append by
-/// hand, e.g. per-job summaries or bridged amt::counter_registry paths).
+/// hand, e.g. per-job summaries).
 struct metrics_snapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
@@ -132,7 +132,7 @@ class metrics_registry {
   metrics_snapshot snapshot() const;
 
   /// Process-wide registry for code without a natural owner (sessions and
-  /// runners own their local registries; bridged snapshots combine both).
+  /// services own their local instruments).
   static metrics_registry& global();
 
  private:
@@ -141,13 +141,5 @@ class metrics_registry {
   std::map<std::string, std::unique_ptr<gauge>> gauges_;
   std::map<std::string, std::unique_ptr<histogram>> histograms_;
 };
-
-/// Adapter over the existing `amt::counter_registry` (HPX-style AGAS
-/// counter paths): append every registered path containing `substring`
-/// (empty = all) to `into` as a gauge, polled race-safely through
-/// `try_value` — a counter unregistered mid-enumeration is skipped, never
-/// a crash.
-void bridge_counter_registry(metrics_snapshot& into,
-                             const std::string& substring = "");
 
 }  // namespace nlh::obs

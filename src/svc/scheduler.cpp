@@ -44,7 +44,9 @@ std::deque<sched_item>::iterator class_scheduler::first_ready_locked(
     qos_class c, double now) {
   auto& q = queues_[static_cast<int>(c)];
   for (auto it = q.begin(); it != q.end(); ++it)
-    if (it->ready_at_s <= now) return it;
+    if (it->ready_at_s <= now &&
+        (it->key.empty() || running_keys_.count(it->key) == 0))
+      return it;
   return q.end();
 }
 
@@ -130,12 +132,14 @@ void class_scheduler::pump_locked(std::vector<pending_shed>& sheds) {
     queues_[pick].erase(pick_it);
     ++running_;
     ++served_[pick];
+    if (!item.key.empty()) running_keys_.insert(item.key);
     NLH_TRACE_INSTANT("svc/dispatch", item.seq);
     // The task owns `run`; the epilogue frees the slot and re-pumps, so a
     // completion immediately pulls the next eligible item.
-    pool_.post([this, run = std::move(item.run)]() mutable {
+    pool_.post([this, run = std::move(item.run),
+                key = std::move(item.key)]() mutable {
       run();
-      on_item_done();
+      settle(true, key);
     });
   }
 }
@@ -147,12 +151,13 @@ void class_scheduler::run_sheds(std::vector<pending_shed>& sheds) {
 
 void class_scheduler::pump() { settle(false); }
 
-void class_scheduler::on_item_done() { settle(true); }
-
-void class_scheduler::settle(bool item_done) {
+void class_scheduler::settle(bool item_done, const std::string& key) {
   std::vector<pending_shed> sheds;
   std::unique_lock<std::mutex> lk(mu_);
-  if (item_done) --running_;
+  if (item_done) {
+    --running_;
+    if (!key.empty()) running_keys_.erase(key);
+  }
   pump_locked(sheds);
   if (!sheds.empty()) {
     // The callbacks run outside mu_; settling_ keeps the scheduler from

@@ -6,9 +6,9 @@
 ///
 /// One bounded FIFO queue per `qos_class`; at most
 /// `scheduler_options::max_concurrent` items execute simultaneously, each
-/// occupying one pool worker for its duration (the same slot model as
-/// `api::batch_runner`). Slot assignment is deficit round-robin: every
-/// class carries a credit balance capped at its weight; a dispatch costs
+/// occupying one pool worker for its duration. Slot assignment is deficit
+/// round-robin: every class carries a credit balance capped at its
+/// weight; a dispatch costs
 /// one credit, and when no backlogged class has credit left a new round
 /// tops every class back up to its weight — so under saturation class
 /// service rates converge to the weight ratio (8:3:1 by default) while
@@ -25,6 +25,9 @@
 ///
 /// Items delayed by quota policing carry a `ready_at_s`; they keep their
 /// queue position but are skipped until the service clock reaches it.
+/// Items that share a non-empty `key` (one persistent tenant's session)
+/// run one at a time by the same rule: while one is running, the others
+/// keep their queue positions and are skipped.
 /// Callbacks (`run`, `shed`) are always invoked outside the scheduler
 /// lock, so they may re-enter `enqueue` (promise continuations do).
 ///
@@ -35,6 +38,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -51,6 +55,8 @@ struct sched_item {
   std::uint64_t seq = 0;     ///< submission order (FIFO baseline tiebreak)
   double enqueued_s = 0.0;   ///< service-clock enqueue time (deadline origin)
   double ready_at_s = 0.0;   ///< quota-imposed earliest start (0 = now)
+  /// Non-empty: skipped while another item with the same key is running.
+  std::string key;
   /// Executes the job on a pool worker; must not throw (the service wraps
   /// job failures into its result future before handing `run` over).
   amt::unique_function<void()> run;
@@ -136,15 +142,14 @@ class class_scheduler {
   /// Caller holds mu_. Fills `sheds` with expired items and posts ready
   /// items into free slots.
   void pump_locked(std::vector<pending_shed>& sheds);
-  /// Caller holds mu_: first queued item of `c` with ready_at <= now, or
-  /// queue end.
+  /// Caller holds mu_: first queued item of `c` with ready_at <= now and
+  /// no running item of its key, or queue end.
   std::deque<sched_item>::iterator first_ready_locked(qos_class c, double now);
   void run_sheds(std::vector<pending_shed>& sheds);
-  /// Pool-task epilogue: free the slot, re-pump, wake waiters.
-  void on_item_done();
-  /// pump() and on_item_done(): free a slot when `item_done`, dispatch, run
-  /// the resulting sheds, then broadcast under mu_.
-  void settle(bool item_done);
+  /// pump() and the pool-task epilogue: free a slot (and `key`) when
+  /// `item_done`, dispatch, run the resulting sheds, then broadcast under
+  /// mu_.
+  void settle(bool item_done, const std::string& key = {});
   bool idle_locked() const;
 
   scheduler_options opt_;
@@ -156,6 +161,7 @@ class class_scheduler {
   std::array<std::deque<sched_item>, qos_class_count> queues_;
   std::array<int, qos_class_count> credits_{};  ///< deficit balances
   int running_ = 0;
+  std::set<std::string> running_keys_;  ///< keys of the running items
   /// Threads running shed callbacks outside mu_; the scheduler is not idle
   /// until they are back.
   int settling_ = 0;

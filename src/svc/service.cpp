@@ -53,6 +53,9 @@ std::vector<std::string> validate(const service_options& opt) {
     for (auto e : q.validate())
       errs.push_back("service_options.tenant_quotas['" + tenant +
                      "']: " + std::move(e));
+  if (opt.hibernation.enabled)
+    if (auto e = opt.hibernation.validate(); !e.empty())
+      errs.push_back("service_options." + std::move(e));
   return errs;
 }
 
@@ -80,6 +83,8 @@ service_loop::service_loop(service_options opt)
              [this] { return now_s(); }),
       pool_(opt_.pool_threads) {
   for (const auto& [tenant, q] : opt_.tenant_quotas) quota_.set_quota(tenant, q);
+  if (opt_.hibernation.enabled)
+    hib_ = std::make_unique<ckpt::hibernation_manager>(opt_.hibernation);
   if (opt_.tick_seconds > 0.0) {
     ticker_ = std::thread([this] {
       std::unique_lock<std::mutex> lk(tick_mu_);
@@ -151,6 +156,7 @@ amt::future<svc_result> service_loop::submit(std::string tenant, qos_class cls,
   item.enqueued_s = ctx->submitted_s;
   item.ready_at_s =
       dec.action == policing_decision::delay ? dec.ready_at : 0.0;
+  item.key = ctx->job.session_key;
   item.run = [this, ctx] { execute(ctx); };
   item.shed = [this, ctx](const std::string& reason) {
     fail_shed(ctx, reason,
@@ -189,22 +195,12 @@ void service_loop::execute(const std::shared_ptr<job_ctx>& ctx) {
     res.queue_wait_seconds = start - ctx->submitted_s;
     queue_wait_hist_[c].record(res.queue_wait_seconds);
     try {
-      api::session s(ctx->job.options);
-      auto& h = s.solver();
-      // Client-centric step latency: each step is measured from the
-      // previous result the client saw — the first from submission — so
-      // queueing delay shows up in the distribution (docs/service.md).
-      double last = ctx->submitted_s;
-      h.set_observer([this, c, &last](const api::step_event&) {
-        const double t = now_s();
-        step_latency_hist_[c].record(t - last);
-        last = t;
-      });
-      const int steps =
-          ctx->job.num_steps > 0 ? ctx->job.num_steps : ctx->job.options.num_steps;
-      h.run(steps);
-      h.set_observer({});
-      res.metrics = h.metrics();
+      if (ctx->job.session_key.empty()) {
+        api::session s(ctx->job.options);
+        res.metrics = run_job(*ctx, s, {});
+      } else {
+        res.metrics = run_tenant_job(*ctx);
+      }
       res.ok = true;
     } catch (const std::exception& e) {
       res.error = e.what();
@@ -221,6 +217,77 @@ void service_loop::execute(const std::shared_ptr<job_ctx>& ctx) {
   // Fulfill outside the span: continuations run inline here and may call
   // back into the service.
   ctx->done.set_value(std::move(res));
+}
+
+api::runtime_metrics service_loop::run_job(const job_ctx& ctx, api::session& s,
+                                           const api::runtime_metrics& before) {
+  auto& h = s.solver();
+  const int c = static_cast<int>(ctx.cls);
+  // Client-centric step latency: each step is measured from the previous
+  // result the client saw — the first from submission — so queueing delay
+  // shows up in the distribution (docs/service.md).
+  h.set_observer(
+      [this, c, last = ctx.submitted_s](const api::step_event&) mutable {
+        const double t = now_s();
+        step_latency_hist_[c].record(t - last);
+        last = t;
+      });
+  const int steps =
+      ctx.job.num_steps > 0 ? ctx.job.num_steps : ctx.job.options.num_steps;
+  h.run(steps);
+  h.set_observer({});
+  if (ctx.job.on_complete) ctx.job.on_complete(s);
+  auto m = h.metrics();
+  if (s.options().auto_rebalance.enabled) {
+    balance_epochs_.add(m.rebalance_epochs - before.rebalance_epochs);
+    balance_moves_.add(m.rebalance_moves - before.rebalance_moves);
+    balance_imbalance_before_.record(m.rebalance_imbalance_before);
+  }
+  return m;
+}
+
+api::runtime_metrics service_loop::run_tenant_job(const job_ctx& ctx) {
+  const std::string& key = ctx.job.session_key;
+  std::unique_ptr<api::session>* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    slot = &tenants_[key];  // no other job of this key runs: the slot is ours
+  }
+  if (!*slot) {
+    // The service's manager owns tenant hibernation, so the session's own
+    // single-entry manager stays off; the codec choice rides along for the
+    // frames export_and_release() encodes.
+    api::session_options o = ctx.job.options;
+    o.hibernation.enabled = false;
+    if (hib_) o.hibernation.codec = opt_.hibernation.codec;
+    auto s = std::make_unique<api::session>(std::move(o));
+    auto& h = s->solver();  // built now: the callbacks below hold it
+    if (hib_) {
+      ckpt::hibernation_manager::callbacks cb;
+      cb.snapshot_and_release = [&h](net::byte_buffer reuse) {
+        return h.export_and_release(std::move(reuse));
+      };
+      cb.restore = [&h](const net::byte_buffer& b) { h.import_state(b); };
+      hib_->add_session(key, std::move(cb));
+    }
+    *slot = std::move(s);
+  }
+  api::session& s = **slot;
+  if (hib_) hib_->activate(key);
+  // Park on every exit: run_job() may throw.
+  struct parked {
+    ckpt::hibernation_manager* m;
+    const std::string& k;
+    ~parked() {
+      if (m) m->park(k);
+    }
+  } guard{hib_.get(), key};
+  return run_job(ctx, s, s.solver().metrics());
+}
+
+std::size_t service_loop::tenant_count() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return tenants_.size();
 }
 
 void service_loop::fail_shed(const std::shared_ptr<job_ctx>& ctx,
@@ -305,11 +372,17 @@ obs::metrics_snapshot service_loop::metrics_snapshot() const {
   }
   snap.add_gauge("svc/wall_seconds", st.wall_seconds);
   snap.add_gauge("svc/jobs_per_second", st.jobs_per_second);
+  snap.add_gauge("svc/tenants", static_cast<double>(tenant_count()));
+  // Present once an auto-rebalanced job has finished, so a soak can tell
+  // the live balancer ran from the names alone.
+  if (const auto imb = balance_imbalance_before_.summary(); imb.count > 0) {
+    snap.add_counter("svc/balance/epochs", balance_epochs_.value());
+    snap.add_counter("svc/balance/moves", balance_moves_.value());
+    snap.add_histogram("svc/balance/imbalance_before", imb);
+  }
   quota_.metrics_into(snap);
   sched_.metrics_into(snap);
-  // Live AGAS counter paths (pool busy times) ride along so one exported
-  // file carries the whole process view.
-  obs::bridge_counter_registry(snap);
+  if (hib_) hib_->metrics_into(snap);
   return snap;
 }
 

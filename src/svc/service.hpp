@@ -23,16 +23,26 @@
 /// metric the `BENCH_service.json` gate compares QoS vs the no-QoS
 /// baseline on (bench/ablation_service.cpp).
 ///
+/// Persistent tenants: a job with a `session_key` runs on the session
+/// kept alive under that key, continuing where the key's previous job
+/// stopped. The scheduler runs one job per key at a time, and with
+/// `service_options::hibernation` enabled the least-recently-used idle
+/// tenants are parked in cold storage (docs/service.md,
+/// docs/checkpoint.md). Key-less jobs build and destroy their own session.
+///
 /// Observability: `svc/<class>/...` submitted/completed/failed/shed
 /// counters and queue-wait + step-latency histograms, `svc/quota/*` and
-/// `svc/sched/*` views, jobs/sec — all through `metrics_snapshot()`;
-/// lifecycle `NLH_TRACE_*` spans/instants ride the process tracer.
+/// `svc/sched/*` views, jobs/sec, `svc/tenants`, the `svc/balance/*`
+/// totals of auto-rebalanced jobs and the `ckpt/*` hibernation view — all
+/// through `metrics_snapshot()`; lifecycle `NLH_TRACE_*` spans/instants
+/// ride the process tracer.
 ///
 
 #include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -43,6 +53,7 @@
 #include "amt/future.hpp"
 #include "amt/thread_pool.hpp"
 #include "api/session.hpp"
+#include "ckpt/hibernation.hpp"
 #include "obs/metrics.hpp"
 #include "svc/qos.hpp"
 #include "svc/quota.hpp"
@@ -51,11 +62,21 @@
 namespace nlh::svc {
 
 /// One unit of service work: a full session description plus a step
-/// budget (the same shape as api::batch_job, minus batch-only metadata).
+/// budget.
 struct svc_job {
   api::session_options options;
   int num_steps = 0;  ///< steps to advance; 0 = options.num_steps
   std::string label;  ///< echoed into the result; empty = "svc-<sequence>"
+  /// Empty (the default): the job builds its own session and destroys it
+  /// at completion. Non-empty names a persistent tenant: the service keeps
+  /// one session per key alive across jobs (later jobs continue where
+  /// earlier ones stopped; their `options` are ignored after the first)
+  /// and runs same-key jobs strictly one at a time.
+  std::string session_key;
+  /// Optional hook run on the worker after the steps (before the result
+  /// resolves) with the job's live session — e.g. to gather the field.
+  /// An exception it throws fails the job like a stepping error.
+  std::function<void(api::session&)> on_complete;
 };
 
 /// Terminal outcome of one submission.
@@ -85,6 +106,11 @@ struct service_options {
   /// Ticker cadence for time-driven work (quota ready_at, deadlines).
   /// 0 disables the ticker — then tests must drive scheduler().pump().
   double tick_seconds = 0.001;
+  /// When enabled, at most `hibernation.resident_cap` persistent tenants
+  /// stay in memory; the least-recently-used idle ones are compressed to
+  /// cold storage and restored when their next job starts. Key-less jobs
+  /// never touch it.
+  ckpt::hibernation_options hibernation;
 };
 
 /// Validate `opt`, one actionable message per offence; empty = valid.
@@ -142,7 +168,7 @@ class service_loop {
   service_stats stats() const;
 
   /// The full `svc/*` view (per-class counters + histograms, quota,
-  /// scheduler, jobs/sec) with the process AGAS counter paths bridged in.
+  /// scheduler, jobs/sec, tenants, balance) plus the `ckpt/*` view.
   obs::metrics_snapshot metrics_snapshot() const;
   /// Write metrics_snapshot() as JSON to `path` (obs/metrics_export.hpp).
   void dump_metrics(const std::string& path) const;
@@ -151,6 +177,11 @@ class service_loop {
   amt::thread_pool& pool() { return pool_; }
   quota_ledger& quota() { return quota_; }
   class_scheduler& scheduler() { return sched_; }
+  /// The tenant hibernation manager; null unless
+  /// service_options::hibernation.enabled.
+  const ckpt::hibernation_manager* hibernation() const { return hib_.get(); }
+  /// Persistent tenants alive (resident + hibernated).
+  std::size_t tenant_count() const;
 
  private:
   /// Shared between the run and shed closures of one submission (exactly
@@ -165,9 +196,17 @@ class service_loop {
     svc_job job;
   };
 
-  /// Pool-worker body: build the session, run the steps, record per-class
-  /// latency, resolve the promise.
+  /// Pool-worker body: build (or reactivate) the session, run the steps,
+  /// record per-class latency, resolve the promise.
   void execute(const std::shared_ptr<job_ctx>& ctx);
+  /// Run the job's steps and hook on `s`; `before` is the session's
+  /// metrics at the start (zero for a fresh session), so the balance
+  /// totals count this job's share only.
+  api::runtime_metrics run_job(const job_ctx& ctx, api::session& s,
+                               const api::runtime_metrics& before);
+  /// execute() for a persistent tenant: reuse or build the keyed session,
+  /// activate/park it around run_job().
+  api::runtime_metrics run_tenant_job(const job_ctx& ctx);
   /// Fail-fast terminal path; `release_quota` is false only for the
   /// policing shed (in-flight was never taken).
   void fail_shed(const std::shared_ptr<job_ctx>& ctx, const std::string& reason,
@@ -190,6 +229,16 @@ class service_loop {
   std::array<obs::counter, qos_class_count> shed_;
   std::array<obs::histogram, qos_class_count> queue_wait_hist_;
   std::array<obs::histogram, qos_class_count> step_latency_hist_;
+  /// Totals over jobs run with auto_rebalance.enabled; exported once the
+  /// first such job has finished.
+  obs::counter balance_epochs_;
+  obs::counter balance_moves_;
+  obs::histogram balance_imbalance_before_;
+
+  /// Persistent tenant sessions by key; the map is guarded by mu_, a
+  /// session is used outside it by the one job of its key that runs.
+  std::map<std::string, std::unique_ptr<api::session>> tenants_;
+  std::unique_ptr<ckpt::hibernation_manager> hib_;
 
   /// Ticker: pumps the scheduler every tick_seconds so ready_at times and
   /// deadlines fire without traffic. Joined in ~service_loop before any

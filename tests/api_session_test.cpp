@@ -1,4 +1,6 @@
-// Tests for the nlh::api facade: scenario registry, session_options /
+// Tests for the nlh::api facade: scenario registry (including its error
+// paths: unknown key, duplicate registration, null factory, null
+// custom_scenario fallback), session_options /
 // dist_config validation with actionable messages, the per-step observer,
 // runtime metrics, and the headline property driven entirely through the
 // facade — the session-built distributed solve reproduces the session-built
@@ -118,6 +120,65 @@ TEST(ScenarioRegistry, MaskAndWorkHooks) {
   // The horizontal crack at y = 0.25 crosses the second SD row.
   EXPECT_DOUBLE_EQ(work[4], 0.5);
   EXPECT_DOUBLE_EQ(work[12], 1.0);
+}
+
+// ------------------------------------------------- registry error paths --
+
+TEST(RegistryErrors, UnknownKeyThrowsListingRegisteredScenarios) {
+  try {
+    api::make_scenario("no-such-scenario");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("no-such-scenario"), std::string::npos) << msg;
+    for (const char* builtin : {"crack", "gaussian_pulse", "lshape", "manufactured"})
+      EXPECT_NE(msg.find(builtin), std::string::npos) << msg;
+  }
+}
+
+TEST(RegistryErrors, DuplicateRegistrationReplacesTheFactory) {
+  api::register_scenario("dup_probe", [] {
+    return std::make_shared<const api::gaussian_pulse_scenario>(0.2, 0.2, 0.05);
+  });
+  // Same key again: last registration wins (documented replace semantics).
+  api::register_scenario("dup_probe", [] {
+    return std::make_shared<const api::manufactured_scenario>();
+  });
+  const auto scn = api::make_scenario("dup_probe");
+  EXPECT_EQ(scn->name(), "manufactured");
+  EXPECT_TRUE(scn->has_exact());
+  // The key appears once, not twice.
+  const auto names = api::scenario_names();
+  EXPECT_EQ(std::count(names.begin(), names.end(), "dup_probe"), 1);
+}
+
+using RegistryDeathTest = ::testing::Test;
+
+TEST(RegistryDeathTest, NullFactoryAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(api::register_scenario("broken", api::scenario_factory{}),
+               "null factory");
+}
+
+TEST(RegistryDeathTest, EmptyNameAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(api::register_scenario("", [] {
+                 return std::make_shared<const api::manufactured_scenario>();
+               }),
+               "empty name");
+}
+
+TEST(RegistryErrors, NullCustomScenarioFallsBackToTheRegistryKey) {
+  auto opt = small_options("gaussian_pulse");
+  opt.custom_scenario = nullptr;  // explicit null = "use the key" (the default)
+  api::session session(opt);
+  EXPECT_EQ(session.active_scenario().name(), "gaussian_pulse");
+
+  // Null custom scenario plus a bad key is a scenario validation error,
+  // not a crash on the null pointer.
+  opt.scenario = "definitely-unknown";
+  EXPECT_TRUE(mentions(api::session::validate(opt), "session_options.scenario"));
+  EXPECT_THROW(api::session{opt}, std::invalid_argument);
 }
 
 TEST(ManufacturedScenario, SeparableFillsMatchPerDpFormulasBitwise) {

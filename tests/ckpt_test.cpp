@@ -1,8 +1,9 @@
 // Tests for the src/ckpt/ subsystem (docs/checkpoint.md): frame codecs
 // (bitwise-lossless round trips, incremental frames, compression of sparse
 // change), the checkpoint_store, the LRU hibernation_manager, the
-// dist_solver incremental checkpoint chain and the api-level
-// hibernate -> restore -> run == uninterrupted-run guarantee.
+// dist_solver incremental checkpoint chain, the api-level
+// hibernate -> restore -> run == uninterrupted-run guarantee, and
+// svc::service_loop's persistent tenants under an LRU resident cap.
 
 #include <gtest/gtest.h>
 
@@ -14,17 +15,18 @@
 #include <random>
 #include <vector>
 
-#include "api/batch.hpp"
 #include "api/session.hpp"
 #include "ckpt/codec.hpp"
 #include "ckpt/hibernation.hpp"
 #include "ckpt/store.hpp"
 #include "dist/dist_solver.hpp"
+#include "svc/service.hpp"
 
 namespace api = nlh::api;
 namespace ckpt = nlh::ckpt;
 namespace dist = nlh::dist;
 namespace net = nlh::net;
+namespace svc = nlh::svc;
 
 namespace {
 
@@ -601,15 +603,32 @@ TEST(CkptSession, InvalidHibernationOptionsAreRejected) {
   }
 }
 
-// ------------------------------------------------- batch tenant hibernation --
+// ----------------------------------------------- service tenant hibernation --
 
-TEST(CkptBatch, TenantsExceedResidentCapAndResumeBitwise) {
-  api::batch_options bopt;
-  bopt.pool_threads = 2;
-  bopt.max_concurrent_jobs = 2;
-  bopt.hibernation.enabled = true;
-  bopt.hibernation.resident_cap = 2;
-  api::batch_runner runner(bopt);
+namespace {
+
+svc::service_options tenant_service(unsigned slots, std::size_t resident_cap) {
+  svc::service_options o;
+  o.pool_threads = slots;
+  o.hibernation.enabled = true;
+  o.hibernation.resident_cap = resident_cap;
+  return o;
+}
+
+svc::svc_job tenant_job(const api::session_options& so, const std::string& key,
+                        int steps) {
+  svc::svc_job job;
+  job.options = so;
+  job.num_steps = steps;
+  job.session_key = key;
+  return job;
+}
+
+}  // namespace
+
+TEST(CkptService, TenantsExceedResidentCapAndResumeBitwise) {
+  const auto sopt = tenant_service(2, 2);
+  svc::service_loop loop(sopt);
 
   api::session_options so;
   so.scenario = "gaussian_pulse";
@@ -619,56 +638,44 @@ TEST(CkptBatch, TenantsExceedResidentCapAndResumeBitwise) {
   // 8 persistent tenants, 4x the resident cap, 3 steps each.
   constexpr int kTenants = 8;
   for (int i = 0; i < kTenants; ++i) {
-    api::batch_job job;
-    job.options = so;
-    job.num_steps = 3;
-    job.session_key = "tenant-" + std::to_string(i);
-    runner.submit(std::move(job));
+    const std::string key = "tenant-" + std::to_string(i);
+    loop.submit(key, svc::qos_class::batch, tenant_job(so, key, 3));
   }
-  runner.wait_all();
-  ASSERT_NE(runner.hibernation(), nullptr);
-  EXPECT_EQ(runner.tenant_count(), static_cast<std::size_t>(kTenants));
-  EXPECT_EQ(runner.hibernation()->session_count(),
+  loop.wait_idle();
+  ASSERT_NE(loop.hibernation(), nullptr);
+  EXPECT_EQ(loop.tenant_count(), static_cast<std::size_t>(kTenants));
+  EXPECT_EQ(loop.hibernation()->session_count(),
             static_cast<std::size_t>(kTenants));
-  EXPECT_LE(runner.hibernation()->resident_count(),
-            bopt.hibernation.resident_cap);
-  EXPECT_GE(runner.hibernation()->hibernated_count(),
-            static_cast<std::size_t>(kTenants) - bopt.hibernation.resident_cap);
+  EXPECT_LE(loop.hibernation()->resident_count(),
+            sopt.hibernation.resident_cap);
+  EXPECT_GE(loop.hibernation()->hibernated_count(),
+            static_cast<std::size_t>(kTenants) - sopt.hibernation.resident_cap);
 
   // Second job on tenant-0 (long hibernated by now): it must resume where
   // it stopped and stay bitwise equal to an uninterrupted 6-step run.
   std::vector<double> resumed;
-  api::batch_job job;
-  job.options = so;
-  job.num_steps = 3;
-  job.session_key = "tenant-0";
+  auto job = tenant_job(so, "tenant-0", 3);
   job.on_complete = [&](api::session& s) { resumed = s.solver().field(); };
-  auto fut = runner.submit(std::move(job));
-  const auto res = fut.get();
+  const auto res = loop.submit("tenant-0", svc::qos_class::batch, job).get();
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_EQ(res.metrics.steps, 6);
   EXPECT_TRUE(same_bits(resumed, uninterrupted_field(so, 6)));
 
-  const auto st = runner.hibernation()->current_stats();
+  const auto st = loop.hibernation()->current_stats();
   EXPECT_GE(st.hibernates, static_cast<std::uint64_t>(
                                kTenants - static_cast<int>(
-                                              bopt.hibernation.resident_cap)));
+                                              sopt.hibernation.resident_cap)));
   EXPECT_GE(st.restores, 1u);
   EXPECT_GT(st.bytes_raw, st.bytes_encoded);  // delta actually compressed
 
-  // The runner's snapshot carries the ckpt/* view for the soak to grep.
-  const auto snap = runner.metrics_snapshot();
+  // The service's snapshot carries the ckpt/* view for the soak to grep.
+  const auto snap = loop.metrics_snapshot();
   EXPECT_TRUE(snapshot_has(snap, "ckpt/hibernates"));
-  EXPECT_TRUE(snapshot_has(snap, "api/batch/tenants"));
+  EXPECT_TRUE(snapshot_has(snap, "svc/tenants"));
 }
 
-TEST(CkptBatch, SameKeyJobsRunSeriallyAndAccumulateSteps) {
-  api::batch_options bopt;
-  bopt.pool_threads = 4;
-  bopt.max_concurrent_jobs = 4;
-  bopt.hibernation.enabled = true;
-  bopt.hibernation.resident_cap = 1;
-  api::batch_runner runner(bopt);
+TEST(CkptService, SameKeyJobsRunSeriallyAndAccumulateSteps) {
+  svc::service_loop loop(tenant_service(4, 1));
 
   api::session_options so;
   so.scenario = "gaussian_pulse";
@@ -677,14 +684,10 @@ TEST(CkptBatch, SameKeyJobsRunSeriallyAndAccumulateSteps) {
 
   // Many concurrent submissions against one key: serialized execution
   // means the final step counter is exactly the sum.
-  std::vector<nlh::amt::future<api::batch_job_result>> futs;
-  for (int i = 0; i < 6; ++i) {
-    api::batch_job job;
-    job.options = so;
-    job.num_steps = 2;
-    job.session_key = "shared";
-    futs.push_back(runner.submit(std::move(job)));
-  }
+  std::vector<nlh::amt::future<svc::svc_result>> futs;
+  for (int i = 0; i < 6; ++i)
+    futs.push_back(loop.submit("t", svc::qos_class::batch,
+                               tenant_job(so, "shared", 2)));
   int max_steps = 0;
   for (auto& f : futs) {
     const auto r = f.get();
@@ -692,25 +695,17 @@ TEST(CkptBatch, SameKeyJobsRunSeriallyAndAccumulateSteps) {
     max_steps = std::max(max_steps, r.metrics.steps);
   }
   EXPECT_EQ(max_steps, 12);
-  EXPECT_EQ(runner.tenant_count(), 1u);
-  EXPECT_EQ(runner.aggregate().total_steps, 12);
+  EXPECT_EQ(loop.tenant_count(), 1u);
 }
 
-TEST(CkptBatch, EphemeralJobsIgnoreHibernation) {
-  api::batch_options bopt;
-  bopt.pool_threads = 2;
-  bopt.max_concurrent_jobs = 2;
-  bopt.hibernation.enabled = true;
-  bopt.hibernation.resident_cap = 1;
-  api::batch_runner runner(bopt);
-
+TEST(CkptService, KeylessJobsIgnoreHibernation) {
+  svc::service_loop loop(tenant_service(2, 1));
   api::session_options so;
   so.n = 16;
-  api::batch_job job;
-  job.options = so;
-  job.num_steps = 2;  // no session_key
-  const auto res = runner.submit(std::move(job)).get();
+  const auto res =
+      loop.submit("t", svc::qos_class::batch, tenant_job(so, "", 2)).get();
   ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_EQ(runner.tenant_count(), 0u);
-  EXPECT_EQ(runner.hibernation()->session_count(), 0u);
+  EXPECT_EQ(loop.tenant_count(), 0u);
+  EXPECT_EQ(loop.hibernation()->session_count(), 0u);
+  EXPECT_EQ(loop.hibernation()->current_stats().hibernates, 0u);
 }

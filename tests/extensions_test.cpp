@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "amt/counters.hpp"
 #include "balance/sim_driver.hpp"
 #include "dist/dist_solver.hpp"
 #include "dist/sim_dist.hpp"
@@ -20,7 +19,6 @@
 namespace dist = nlh::dist;
 namespace nl = nlh::nonlocal;
 namespace net = nlh::net;
-namespace amt = nlh::amt;
 
 // ----------------------------------------------- bulk-synchronous baseline ----
 
@@ -29,7 +27,7 @@ TEST(BulkSyncMode, MatchesSerialReference) {
   cfg.sd_rows = cfg.sd_cols = 2;
   cfg.sd_size = 8;
   cfg.epsilon_factor = 2;
-  cfg.overlap_communication = false;
+  cfg.schedule = dist::overlap_schedule::bulk_sync;
   const dist::tiling t(2, 2, 8, 2);
   dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 1, 1, 0}));
   solver.set_initial_condition();
@@ -59,7 +57,8 @@ TEST(BulkSyncMode, SameGhostTrafficAsOverlap) {
     cfg.sd_rows = cfg.sd_cols = 2;
     cfg.sd_size = 8;
     cfg.epsilon_factor = 2;
-    cfg.overlap_communication = overlap;
+    cfg.schedule = overlap ? dist::overlap_schedule::per_direction
+                           : dist::overlap_schedule::bulk_sync;
     const dist::tiling t(2, 2, 8, 2);
     dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 1, 0, 1}));
     solver.set_initial_condition();
@@ -103,40 +102,7 @@ TEST(BulkSyncSim, HighLatencyHurtsBulkSyncMore) {
 
 // ------------------------------------------------------ network counters ----
 
-class NetworkCountersTest : public ::testing::Test {
- protected:
-  void SetUp() override { amt::counter_registry::instance().clear(); }
-  void TearDown() override { amt::counter_registry::instance().clear(); }
-};
-
-TEST_F(NetworkCountersTest, RegisterExposeAndReset) {
-  auto& reg = amt::counter_registry::instance();
-  net::comm_world world(2);
-  world.register_counters();
-  ASSERT_TRUE(reg.contains("/network{locality#0}/bytes-sent"));
-  ASSERT_TRUE(reg.contains("/network{locality#1}/messages-sent"));
-
-  net::byte_buffer payload(100);
-  world.send(0, 1, 7, std::move(payload));
-  EXPECT_DOUBLE_EQ(reg.value("/network{locality#0}/bytes-sent"), 100.0);
-  EXPECT_DOUBLE_EQ(reg.value("/network{locality#0}/messages-sent"), 1.0);
-  EXPECT_DOUBLE_EQ(reg.value("/network{locality#1}/bytes-sent"), 0.0);
-
-  reg.reset("/network{locality#0}/bytes-sent");
-  EXPECT_DOUBLE_EQ(reg.value("/network{locality#0}/bytes-sent"), 0.0);
-}
-
-TEST_F(NetworkCountersTest, UnregisteredOnDestruction) {
-  auto& reg = amt::counter_registry::instance();
-  {
-    net::comm_world world(3);
-    world.register_counters("/net-test");
-    EXPECT_EQ(reg.paths_matching("/net-test").size(), 6u);
-  }
-  EXPECT_TRUE(reg.paths_matching("/net-test").empty());
-}
-
-TEST_F(NetworkCountersTest, PerLocalityRowSums) {
+TEST(NetworkCountersTest, PerLocalityRowSums) {
   net::comm_world world(3);
   world.send(0, 1, 1, net::byte_buffer(10));
   world.send(0, 2, 2, net::byte_buffer(20));

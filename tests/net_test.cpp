@@ -8,7 +8,6 @@
 #include <random>
 #include <thread>
 
-#include "amt/counters.hpp"
 #include "net/comm_world.hpp"
 #include "net/mailbox.hpp"
 #include "net/serializer.hpp"
@@ -378,47 +377,4 @@ TEST(CommWorld, ResetTrafficFromDoesNotDropMessages) {
   world.send(0, 1, 77, make_payload(9));
   world.reset_traffic_from(0);
   EXPECT_EQ(read_payload(world.recv(1, 0, 77).get()), 9);
-}
-
-TEST(CommWorld, RegisterCountersTrackAndResetPerLocality) {
-  auto& reg = nlh::amt::counter_registry::instance();
-  reg.clear();
-  {
-    net::comm_world world(2);
-    world.register_counters();
-    ASSERT_TRUE(reg.contains("/network{locality#0}/bytes-sent"));
-    ASSERT_TRUE(reg.contains("/network{locality#0}/messages-sent"));
-    ASSERT_TRUE(reg.contains("/network{locality#1}/bytes-sent"));
-    ASSERT_TRUE(reg.contains("/network{locality#1}/messages-sent"));
-
-    const auto payload_size = static_cast<double>(make_payload(0).size());
-    world.send(0, 1, 1, make_payload(1));
-    world.send(0, 1, 2, make_payload(2));
-    world.send(1, 0, 3, make_payload(3));
-    EXPECT_DOUBLE_EQ(reg.value("/network{locality#0}/bytes-sent"), 2 * payload_size);
-    EXPECT_DOUBLE_EQ(reg.value("/network{locality#0}/messages-sent"), 2.0);
-    EXPECT_DOUBLE_EQ(reg.value("/network{locality#1}/messages-sent"), 1.0);
-
-    // Registry-driven reset clears the backing row (Algorithm 1 line 35
-    // semantics for the networking counters).
-    reg.reset("/network{locality#0}/bytes-sent");
-    EXPECT_DOUBLE_EQ(reg.value("/network{locality#0}/bytes-sent"), 0.0);
-    EXPECT_EQ(world.bytes_from(0), 0u);
-    EXPECT_DOUBLE_EQ(reg.value("/network{locality#1}/messages-sent"), 1.0);
-  }
-  // Destruction unregisters every path the world installed.
-  EXPECT_TRUE(reg.paths_matching("/network").empty());
-  reg.clear();
-}
-
-TEST(CommWorld, RegisterCountersCustomPrefix) {
-  auto& reg = nlh::amt::counter_registry::instance();
-  reg.clear();
-  net::comm_world world(3);
-  world.register_counters("/ghost-net");
-  EXPECT_EQ(reg.paths_matching("/ghost-net").size(), 6u);
-  EXPECT_TRUE(reg.paths_matching("/network").empty());
-  world.send(2, 1, 5, make_payload(6));
-  EXPECT_DOUBLE_EQ(reg.value("/ghost-net{locality#2}/messages-sent"), 1.0);
-  reg.clear();
 }

@@ -1,10 +1,10 @@
 // Tests for the observability subsystem (src/obs/): span recording and
 // nesting, cross-thread rings and thread names, ring wraparound accounting,
 // histogram quantile estimation, Chrome-trace / metrics JSON export
-// round-trips, the runtime enable/disable gates, the counter_registry
-// bridge, the periodic sampler, and a fully traced multi-tenant batch run
-// (the latter rides the TSAN CI job: every tracer/metrics path exercised
-// concurrently with real solver work).
+// round-trips, the runtime enable/disable gates, the periodic sampler, and
+// a fully traced mixed batch through the service (the latter rides the
+// TSAN CI job: every tracer/metrics path exercised concurrently with real
+// solver work).
 
 #include <gtest/gtest.h>
 
@@ -17,8 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "amt/counters.hpp"
-#include "api/batch.hpp"
 #include "api/session.hpp"
 #include "obs/config.hpp"
 #include "obs/metrics.hpp"
@@ -26,9 +24,11 @@
 #include "obs/sampler.hpp"
 #include "obs/trace_export.hpp"
 #include "obs/tracer.hpp"
+#include "svc/service.hpp"
 
 namespace obs = nlh::obs;
 namespace api = nlh::api;
+namespace svc = nlh::svc;
 
 namespace {
 
@@ -314,17 +314,6 @@ TEST_F(ObsTest, RegistryFindOrCreateAndSnapshot) {
   EXPECT_EQ(snap.histograms[0].second.count, 1u);
 }
 
-TEST_F(ObsTest, BridgeCounterRegistryPolls) {
-  auto& reg = nlh::amt::counter_registry::instance();
-  reg.register_counter("/obs_bridge_test/x", [] { return 4.25; }, [] {});
-  obs::metrics_snapshot snap;
-  obs::bridge_counter_registry(snap, "obs_bridge_test");
-  reg.unregister_counter("/obs_bridge_test/x");
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].first, "/obs_bridge_test/x");
-  EXPECT_DOUBLE_EQ(snap.gauges[0].second, 4.25);
-}
-
 // ----------------------------------------------------------------- export --
 
 TEST_F(ObsTest, ChromeTraceJsonRoundTrip) {
@@ -445,62 +434,60 @@ TEST_F(ObsTest, SessionMetricsCarryDistributedFlagAndStepLatency) {
   EXPECT_TRUE(has_counter(dist_snap, "api/session/steps"));
 }
 
-TEST_F(ObsTest, TracedMultiTenantBatchProducesTimelineAndMetrics) {
-  // The TSAN rider: serial and distributed tenants step concurrently with
+TEST_F(ObsTest, TracedMixedServiceBatchProducesTimelineAndMetrics) {
+  // The TSAN rider: serial and distributed jobs step concurrently with
   // tracing on, hammering the per-thread rings, the shared histograms and
-  // the batch accounting at once.
+  // the service accounting at once.
   obs::set_tracing_enabled(true);
 
-  api::batch_options bopt;
-  bopt.pool_threads = 2;
-  bopt.max_concurrent_jobs = 2;
-  api::batch_runner runner(bopt);
+  svc::service_options sopt;
+  sopt.pool_threads = 2;
+  svc::service_loop loop(sopt);
 
-  std::vector<api::batch_job> jobs;
+  std::vector<nlh::amt::future<svc::svc_result>> futures;
   for (const char* scenario : {"manufactured", "gaussian_pulse"})
     for (const auto mode :
          {api::execution_mode::serial, api::execution_mode::distributed}) {
-      api::batch_job job;
+      svc::svc_job job;
       job.options = small_options(scenario);
       job.options.mode = mode;
-      job.label = std::string(scenario) +
-                  (mode == api::execution_mode::serial ? "/serial" : "/dist");
-      jobs.push_back(std::move(job));
+      const bool serial = mode == api::execution_mode::serial;
+      job.label = std::string(scenario) + (serial ? "/serial" : "/dist");
+      futures.push_back(loop.submit(
+          "t", serial ? svc::qos_class::interactive : svc::qos_class::batch,
+          std::move(job)));
     }
-  auto futures = runner.submit_all(std::move(jobs));
   for (auto& f : futures) EXPECT_TRUE(f.get().ok);
+  loop.wait_idle();
   obs::set_tracing_enabled(false);
 
   // Timeline: every layer shows up — job lifecycle, per-step spans, the
   // distributed phases, pool task execution and message traffic.
   const auto snap = obs::tracer::instance().snapshot();
-  EXPECT_EQ(named(snap, "api/job").size(), 4u);
-  EXPECT_EQ(named(snap, "api/job_submit").size(), 4u);
-  EXPECT_EQ(named(snap, "api/job_admit").size(), 4u);
+  EXPECT_EQ(named(snap, "svc/job").size(), 4u);
+  EXPECT_EQ(named(snap, "svc/submit").size(), 4u);
+  EXPECT_EQ(named(snap, "svc/dispatch").size(), 4u);
   EXPECT_EQ(named(snap, "api/step").size(), 12u);  // 4 jobs x 3 steps
   EXPECT_EQ(named(snap, "dist/step").size(), 6u);  // 2 dist jobs x 3 steps
   EXPECT_FALSE(named(snap, "amt/task").empty());
   EXPECT_FALSE(named(snap, "net/send").empty());
   EXPECT_EQ(named(snap, "net/send").size(), named(snap, "net/deliver").size());
 
-  // Metrics: aggregate latencies plus per-job step-latency summaries.
-  const auto agg = runner.aggregate();
-  EXPECT_EQ(agg.jobs_completed, 4);
-  EXPECT_EQ(agg.queue_wait.count, 4u);
-  EXPECT_EQ(agg.job_duration.count, 4u);
-  const auto metrics = runner.metrics_snapshot();
-  bool saw_queue_wait = false, saw_job_hist = false;
+  // Metrics: per-class queue-wait and step-latency histograms.
+  const auto metrics = loop.metrics_snapshot();
+  std::uint64_t interactive_waits = 0, batch_waits = 0, batch_steps = 0;
   for (const auto& [name, s] : metrics.histograms) {
-    if (name == "api/batch/queue_wait_seconds") saw_queue_wait = s.count == 4;
-    if (name == "api/job/manufactured/dist/step_latency_seconds")
-      saw_job_hist = s.count == 3;
+    if (name == "svc/interactive/queue_wait_seconds") interactive_waits = s.count;
+    if (name == "svc/batch/queue_wait_seconds") batch_waits = s.count;
+    if (name == "svc/batch/step_latency_seconds") batch_steps = s.count;
   }
-  EXPECT_TRUE(saw_queue_wait);
-  EXPECT_TRUE(saw_job_hist);
+  EXPECT_EQ(interactive_waits, 2u);
+  EXPECT_EQ(batch_waits, 2u);
+  EXPECT_EQ(batch_steps, 6u);
 
   // And the whole thing exports.
-  const std::string path = ::testing::TempDir() + "obs_batch_trace.json";
+  const std::string path = ::testing::TempDir() + "obs_service_trace.json";
   ASSERT_TRUE(obs::write_chrome_trace(path));
-  EXPECT_NE(slurp(path).find("api/job"), std::string::npos);
+  EXPECT_NE(slurp(path).find("svc/job"), std::string::npos);
   std::remove(path.c_str());
 }

@@ -319,7 +319,7 @@ TEST(InjectedLatency, PerDirectionComputesBeforeSlowestGhost) {
 
 TEST(InjectedLatency, BulkSyncHidesNothing) {
   auto cfg = latency_cfg();
-  cfg.overlap_communication = false;
+  cfg.schedule = dist::overlap_schedule::bulk_sync;
   const dist::tiling t(2, 2, 8, 2);
   dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 1, 0, 1}));
   solver.set_initial_condition();

@@ -5,7 +5,9 @@
 // contracts — interactive work is never starved behind a soak backlog,
 // shed jobs fail fast with a distinct "shed (<reason>)" error, a tenant
 // over its rate but under its in-flight cap is delayed rather than shed,
-// graceful drain, and the deterministic traffic generator feeding it all.
+// graceful drain, persistent tenants (one job per session key at a time),
+// concurrent mixed-backend jobs keeping serial == distributed bitwise, and
+// the deterministic traffic generator feeding it all.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
+#include <map>
 #include <mutex>
 #include <set>
 #include <string>
@@ -531,6 +535,184 @@ TEST(Service, DrainFinishesInFlightAndShedsTheQueue) {
   const auto late = loop.submit("t", svc::qos_class::batch, small_job()).get();
   EXPECT_TRUE(late.shed);
   EXPECT_EQ(late.error.rfind("shed (draining)", 0), 0u) << late.error;
+}
+
+// ------------------------------------------------------ jobs and tenants --
+
+namespace {
+
+/// Max |a - b| over the interior of an n x n field.
+double interior_diff(const nlh::nonlocal::grid2d& g, const std::vector<double>& a,
+                     const std::vector<double>& b) {
+  double m = 0.0;
+  for (int i = 0; i < g.n(); ++i)
+    for (int j = 0; j < g.n(); ++j)
+      m = std::max(m, std::abs(a[g.flat(i, j)] - b[g.flat(i, j)]));
+  return m;
+}
+
+}  // namespace
+
+// Jobs mixing scenarios, kernel backends and execution modes run
+// concurrently over the shared pool, and every serial/distributed pair of
+// one (scenario, backend) cell still agrees bitwise.
+TEST(Service, ConcurrentMixedBackendJobsKeepTheBitwiseGuarantee) {
+  svc::service_options opt;
+  opt.pool_threads = 4;
+  opt.max_concurrent = 4;
+  svc::service_loop loop(opt);
+
+  const std::vector<std::string> scenarios = {"manufactured", "gaussian_pulse"};
+  const std::vector<std::string> backends = {"scalar", "row_run"};
+  std::mutex mu;
+  std::map<std::string, std::vector<double>> fields;
+  std::vector<nlh::amt::future<svc::svc_result>> futs;
+  for (const auto& scn : scenarios)
+    for (const auto& backend : backends)
+      for (const auto mode : {nlh::api::execution_mode::serial,
+                              nlh::api::execution_mode::distributed}) {
+        svc::svc_job j = small_job(3);
+        j.options.scenario = scn;
+        j.options.kernel_backend = backend;
+        j.options.mode = mode;
+        j.options.sd_grid = 2;
+        j.options.threads_per_locality = 2;
+        const std::string key =
+            scn + "/" + backend +
+            (mode == nlh::api::execution_mode::serial ? "/serial" : "/dist");
+        j.label = key;
+        j.on_complete = [&mu, &fields, key](nlh::api::session& s) {
+          auto f = s.solver().field();
+          std::lock_guard<std::mutex> lk(mu);
+          fields[key] = std::move(f);
+        };
+        futs.push_back(loop.submit(key, svc::qos_class::batch, std::move(j)));
+      }
+  ASSERT_GE(futs.size(), 8u);
+  for (auto& f : futs) {
+    const auto r = f.get();
+    EXPECT_TRUE(r.ok) << r.label << ": " << r.error;
+    EXPECT_EQ(r.metrics.steps, 3);
+  }
+
+  const nlh::nonlocal::grid2d grid(16, 2.0 / 16.0);
+  for (const auto& scn : scenarios)
+    for (const auto& backend : backends)
+      EXPECT_EQ(interior_diff(grid, fields.at(scn + "/" + backend + "/serial"),
+                              fields.at(scn + "/" + backend + "/dist")),
+                0.0)
+          << scn << "/" << backend << " pair diverged inside the service";
+  EXPECT_EQ(loop.stats().of(svc::qos_class::batch).completed, 8u);
+}
+
+TEST(Service, NumStepsOverridesSessionOptions) {
+  svc::service_loop loop;
+  svc::svc_job j = small_job();
+  j.options.num_steps = 3;
+  j.num_steps = 5;
+  EXPECT_EQ(loop.submit("t", svc::qos_class::batch, j).get().metrics.steps, 5);
+  j.num_steps = 0;  // falls back to options.num_steps
+  EXPECT_EQ(loop.submit("t", svc::qos_class::batch, j).get().metrics.steps, 3);
+}
+
+// Destroying the service with jobs still queued finishes them, and every
+// handed-out future has resolved by the time the destructor returns.
+TEST(Service, DestructorFinishesEveryAcceptedJob) {
+  std::vector<nlh::amt::future<svc::svc_result>> futs;
+  {
+    svc::service_options opt;
+    opt.pool_threads = 1;
+    svc::service_loop loop(opt);
+    for (int k = 0; k < 4; ++k)
+      futs.push_back(loop.submit("t", svc::qos_class::batch, small_job()));
+  }
+  for (auto& f : futs) {
+    ASSERT_TRUE(f.is_ready());
+    EXPECT_TRUE(f.get().ok);
+  }
+}
+
+TEST(Service, AFailingJobFailsAlone) {
+  svc::service_loop loop;
+  svc::svc_job bad = small_job();
+  bad.options.mode = nlh::api::execution_mode::distributed;
+  bad.options.sd_grid = 2;
+  bad.options.n = 15;  // not divisible by sd_grid
+  auto fb = loop.submit("t", svc::qos_class::batch, bad);
+  auto fg = loop.submit("t", svc::qos_class::batch, small_job(3));
+
+  const auto rb = fb.get();
+  EXPECT_FALSE(rb.ok);
+  EXPECT_FALSE(rb.shed);
+  EXPECT_NE(rb.error.find("session_options.sd_grid"), std::string::npos)
+      << rb.error;
+  const auto rg = fg.get();
+  EXPECT_TRUE(rg.ok) << rg.error;
+  EXPECT_EQ(rg.metrics.steps, 3);
+  const auto st = loop.stats();
+  EXPECT_EQ(st.of(svc::qos_class::batch).completed, 1u);
+  EXPECT_EQ(st.of(svc::qos_class::batch).failed, 1u);
+}
+
+// The key rule: with two slots and A1 (key a, held open in its hook), A2
+// (key a) and B1 (key b) queued in that order, B1 takes the free slot while
+// A1 holds the other, A2 stays queued although a slot is free, and A2
+// starts only after A1 has returned — on the session A1 left behind.
+TEST(Service, SameKeyJobsRunOneAtATimeWithoutBlockingOtherKeys) {
+  svc::service_options opt;
+  opt.pool_threads = 2;
+  opt.max_concurrent = 2;
+  opt.qos.enabled = false;  // one FIFO: submission order is queue order
+  svc::service_loop loop(opt);
+
+  std::promise<void> holding, release;
+  auto released = release.get_future().share();
+  std::atomic<bool> a1_returned{false}, a2_saw_a1_returned{false};
+
+  svc::svc_job a1 = small_job();
+  a1.session_key = "a";
+  a1.on_complete = [&holding, released, &a1_returned](nlh::api::session&) {
+    holding.set_value();
+    released.wait();
+    a1_returned = true;
+  };
+  svc::svc_job a2 = small_job();
+  a2.session_key = "a";
+  a2.on_complete = [&a1_returned, &a2_saw_a1_returned](nlh::api::session&) {
+    a2_saw_a1_returned = a1_returned.load();
+  };
+  svc::svc_job b1 = small_job();
+  b1.session_key = "b";
+
+  auto fa1 = loop.submit("t", svc::qos_class::batch, a1);
+  holding.get_future().wait();  // A1 holds its slot from here on
+  auto fa2 = loop.submit("t", svc::qos_class::batch, a2);
+  auto fb1 = loop.submit("t", svc::qos_class::batch, b1);
+
+  const auto wait_until = [](const auto& done) {
+    for (int i = 0; i < 30000 && !done(); ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return done();
+  };
+  const bool b1_done = wait_until([&] { return fb1.is_ready(); });
+  // B1's slot frees after its future resolves; A2 must still be queued.
+  const bool one_running =
+      wait_until([&] { return loop.scheduler().running() == 1; });
+  const int a2_queued = loop.scheduler().queue_depth(svc::qos_class::batch);
+  const bool a2_done_early = fa2.is_ready();
+  release.set_value();
+
+  EXPECT_TRUE(b1_done) << "B1 did not run while A1 held its slot";
+  EXPECT_TRUE(one_running);
+  EXPECT_EQ(a2_queued, 1);
+  EXPECT_FALSE(a2_done_early) << "A2 ran while A1 (same key) was running";
+  EXPECT_TRUE(fa1.get().ok);
+  const auto r2 = fa2.get();
+  ASSERT_TRUE(r2.ok) << r2.error;
+  EXPECT_TRUE(a2_saw_a1_returned.load());
+  EXPECT_EQ(r2.metrics.steps, 4);  // A2 continued A1's session
+  EXPECT_TRUE(fb1.get().ok);
+  EXPECT_EQ(loop.tenant_count(), 2u);
 }
 
 // -------------------------------------------------------------- traffic ---
