@@ -236,8 +236,8 @@ int main() {
   // all but three corner SDs. Uniform work per SD, so per-locality busy
   // time is proportional to owned SDs — which the injected sampler below
   // states exactly. (Wall-clock busy measurement is the default sampler,
-  // but on an oversubscribed CI box — this container has a single core for
-  // four pools — measured fractions are scheduling noise worth several SDs
+  // but on an oversubscribed CI box — four pools sharing a few cores —
+  // measured fractions are scheduling noise worth several SDs
   // of apparent imbalance, useless for a per-epoch convergence gate. The
   // dynamic_crack section keeps the measured path honest via its aggregate
   // wall-clock gate, which averages that noise away.)

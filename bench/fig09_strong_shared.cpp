@@ -6,8 +6,9 @@
 /// and 4 CPUs. Speedup baseline is the 1-CPU run of the same decomposition.
 ///
 /// Per DESIGN.md, CPUs are virtual: per-SD task costs are calibrated from
-/// the real measured kernel and the task DAG is scheduled in virtual time
-/// (this host has one physical core).
+/// the real measured kernel and the task DAG is scheduled in virtual time,
+/// so the figure does not depend on how many cores the machine running it
+/// has.
 ///
 
 #include <iostream>

@@ -135,7 +135,6 @@ class serial_impl final : public solver_impl {
     cfg.dt_safety = o.dt_safety;
     cfg.num_steps = o.num_steps;
     cfg.kind = o.kind;
-    cfg.integrator = o.integrator;
     cfg.backend = resolve_backend(o);
     cfg.tuning = o.kernel_tuning;
     return cfg;
@@ -476,23 +475,20 @@ void solver_handle::dump_metrics(const std::string& path) const {
 // ---------------------------------------------------------------- session --
 
 std::vector<std::string> session::validate(const session_options& opt) {
-  std::vector<std::string> errs;
-  std::shared_ptr<const scenario> scn = opt.custom_scenario;
-  if (!scn) {
+  return resolve(opt).errors;
+}
+
+session::resolved_options session::resolve(const session_options& opt) {
+  resolved_options r{opt.custom_scenario, {}};
+  auto& errs = r.errors;
+  if (!r.scn) {
     try {
-      scn = make_scenario(opt.scenario);
+      r.scn = make_scenario(opt.scenario);
     } catch (const std::invalid_argument& e) {
       errs.push_back(std::string("session_options.scenario: ") + e.what());
     }
   }
-  const auto rest = validate_resolved(opt, scn.get());
-  errs.insert(errs.end(), rest.begin(), rest.end());
-  return errs;
-}
-
-std::vector<std::string> session::validate_resolved(const session_options& opt,
-                                                    const scenario* scn) {
-  std::vector<std::string> errs;
+  const scenario* scn = r.scn.get();
   auto err = [&errs](const std::ostringstream& msg) { errs.push_back(msg.str()); };
 
   if (opt.n < 1) {
@@ -634,12 +630,6 @@ std::vector<std::string> session::validate_resolved(const session_options& opt,
         << "'; valid: per_direction, coarse, bulk_sync";
       err(m);
     }
-    if (opt.integrator != nonlocal::time_integrator::forward_euler) {
-      std::ostringstream m;
-      m << "session_options.integrator: the distributed solver integrates "
-           "forward Euler only; use serial mode for RK schemes";
-      err(m);
-    }
     if (opt.partitioner == partition_strategy::recursive_bisection &&
         !is_power_of_two(opt.nodes)) {
       std::ostringstream m;
@@ -674,21 +664,12 @@ std::vector<std::string> session::validate_resolved(const session_options& opt,
     }
   }
 
-  return errs;
+  return r;
 }
 
 session::session(session_options opt) : opt_(std::move(opt)) {
-  std::vector<std::string> errs;
-  scenario_ = opt_.custom_scenario;
-  if (!scenario_) {
-    try {
-      scenario_ = make_scenario(opt_.scenario);
-    } catch (const std::invalid_argument& e) {
-      errs.push_back(std::string("session_options.scenario: ") + e.what());
-    }
-  }
-  const auto rest = validate_resolved(opt_, scenario_.get());
-  errs.insert(errs.end(), rest.begin(), rest.end());
+  auto [scn, errs] = resolve(opt_);
+  scenario_ = std::move(scn);
   if (!errs.empty()) {
     std::ostringstream msg;
     msg << "invalid session_options (" << errs.size() << " problem"

@@ -80,8 +80,6 @@ struct session_options {
   double dt_safety = 0.5;     ///< fraction of the stability bound
   int num_steps = 20;         ///< step budget callers pass to solver_handle::run()
   nonlocal::influence_kind kind = nonlocal::influence_kind::constant;
-  /// Serial mode only; the distributed solver integrates forward Euler.
-  nonlocal::time_integrator integrator = nonlocal::time_integrator::forward_euler;
 
   // --- Distribution (distributed mode) -----------------------------------
   int sd_grid = 4;   ///< SDs per dimension; n must divide evenly
@@ -379,10 +377,14 @@ class session {
   double partition_balance() const;
 
  private:
-  /// Validation body once the scenario is resolved (`scn` may be null when
-  /// resolution itself failed; scenario-dependent checks are then skipped).
-  static std::vector<std::string> validate_resolved(const session_options& opt,
-                                                    const scenario* scn);
+  /// The scenario `opt` selects (null when it does not resolve; the
+  /// scenario-dependent checks are then skipped) and every validation
+  /// failure of `opt`, each naming the offending field.
+  struct resolved_options {
+    std::shared_ptr<const scenario> scn;
+    std::vector<std::string> errors;
+  };
+  static resolved_options resolve(const session_options& opt);
   void build_distribution();
   void require_distributed(const char* what) const;
 

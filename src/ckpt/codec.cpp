@@ -268,10 +268,15 @@ class delta_codec_impl final : public codec {
   }
 
   /// Baseline value -> lattice coordinate; exact by the encoder's merged
-  /// lattice check.
+  /// lattice check. The scale is read from the frame, so a frame whose
+  /// scale puts the baseline off its lattice or past the 2^62 budget aborts
+  /// here rather than cast an out-of-range double.
   static std::uint64_t quantize(double v, int scale) {
-    return static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(std::ldexp(v, -scale)));
+    const double q = std::ldexp(v, -scale);
+    NLH_ASSERT_MSG(std::abs(q) < 0x1p62 &&
+                       static_cast<double>(static_cast<std::int64_t>(q)) == q,
+                   "ckpt: delta frame scale does not fit its baseline");
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(q));
   }
 
   static void flush_literals(net::archive_writer& w,

@@ -38,9 +38,8 @@ void serial_solver::set_field(std::vector<double> u) {
   u_ = std::move(u);
 }
 
-void serial_solver::eval_rhs(double t, const std::vector<double>& u,
-                             std::vector<double>& out) {
-  NLH_ASSERT(u.size() == grid_.total() && out.size() == grid_.total());
+void serial_solver::step(int step_index) {
+  const double t = step_index * dt_;
   const dp_rect all{0, grid_.n(), 0, grid_.n()};
 
   // b(t) through the scenario (manufactured: b = dw/dt - L_h[w] at the
@@ -48,72 +47,22 @@ void serial_solver::eval_rhs(double t, const std::vector<double>& u,
   scenario_->fill_aux(context(), t, all, w_scratch_);
   scenario_->source_into(context(), t, w_scratch_, all, b_scratch_);
 
-  // out = L_h u + b.
   const auto t0 = std::chrono::steady_clock::now();
-  apply_nonlocal_operator(grid_, plan_, c_, u, out, all);
+  apply_nonlocal_operator(grid_, plan_, c_, u_, lu_, all);
   const auto t1 = std::chrono::steady_clock::now();
   kstats_.applies += 1;
   kstats_.blocks += count_blocks(plan_.blocking(), all.row_begin, all.row_end,
                                  all.col_begin, all.col_end);
   kstats_.dps += static_cast<std::uint64_t>(grid_.n()) * grid_.n();
   kstats_.seconds += std::chrono::duration<double>(t1 - t0).count();
+
+  // Forward Euler (eq. 5) on the interior; the collar keeps the volumetric
+  // boundary condition u = 0 (eq. 4).
   for (int i = 0; i < grid_.n(); ++i)
     for (int j = 0; j < grid_.n(); ++j) {
       const auto idx = grid_.flat(i, j);
-      out[idx] += b_scratch_[idx];
+      u_[idx] += dt_ * (lu_[idx] + b_scratch_[idx]);
     }
-}
-
-void serial_solver::step(int step_index) {
-  const double t = step_index * dt_;
-  const int n = grid_.n();
-
-  // Interior-only axpy; the collar keeps the volumetric boundary condition
-  // u = 0 (eq. 4) on every stage.
-  auto axpy = [&](std::vector<double>& y, double a, const std::vector<double>& x) {
-    for (int i = 0; i < n; ++i)
-      for (int j = 0; j < n; ++j) {
-        const auto idx = grid_.flat(i, j);
-        y[idx] += a * x[idx];
-      }
-  };
-
-  switch (cfg_.integrator) {
-    case time_integrator::forward_euler: {
-      eval_rhs(t, u_, lu_);
-      axpy(u_, dt_, lu_);
-      break;
-    }
-    case time_integrator::rk2_midpoint: {
-      eval_rhs(t, u_, lu_);            // k1
-      auto stage = u_;
-      axpy(stage, 0.5 * dt_, lu_);     // u + dt/2 k1
-      eval_rhs(t + 0.5 * dt_, stage, lu_);  // k2
-      axpy(u_, dt_, lu_);
-      break;
-    }
-    case time_integrator::rk4_classic: {
-      auto k1 = grid_.make_field();
-      auto k2 = grid_.make_field();
-      auto k3 = grid_.make_field();
-      auto k4 = grid_.make_field();
-      eval_rhs(t, u_, k1);
-      auto stage = u_;
-      axpy(stage, 0.5 * dt_, k1);
-      eval_rhs(t + 0.5 * dt_, stage, k2);
-      stage = u_;
-      axpy(stage, 0.5 * dt_, k2);
-      eval_rhs(t + 0.5 * dt_, stage, k3);
-      stage = u_;
-      axpy(stage, dt_, k3);
-      eval_rhs(t + dt_, stage, k4);
-      axpy(u_, dt_ / 6.0, k1);
-      axpy(u_, dt_ / 3.0, k2);
-      axpy(u_, dt_ / 3.0, k3);
-      axpy(u_, dt_ / 6.0, k4);
-      break;
-    }
-  }
 }
 
 std::vector<double> serial_solver::exact_field(double t) const {

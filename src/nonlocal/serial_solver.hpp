@@ -28,15 +28,6 @@
 
 namespace nlh::nonlocal {
 
-/// Explicit time integrators for du/dt = b(t) + L_h u. The paper uses
-/// forward Euler; the higher-order schemes are library extensions sharing
-/// the same right-hand side evaluation.
-enum class time_integrator {
-  forward_euler,  ///< order 1 (the paper's scheme, eq. 5)
-  rk2_midpoint,   ///< order 2
-  rk4_classic,    ///< order 4
-};
-
 struct solver_config {
   int n = 64;                 ///< interior DPs per dimension
   double epsilon_factor = 8;  ///< epsilon = factor * h (paper uses 8h)
@@ -45,7 +36,6 @@ struct solver_config {
   double dt_safety = 0.5;     ///< fraction of the stability bound
   int num_steps = 20;
   influence_kind kind = influence_kind::constant;
-  time_integrator integrator = time_integrator::forward_euler;
   /// Kernel backend this solver's plan is pinned to; nullopt keeps the
   /// plan following the process default (the historical behaviour).
   std::optional<kernel_backend> backend;
@@ -88,13 +78,9 @@ class serial_solver {
   void set_field(std::vector<double> u);
   const std::vector<double>& field() const { return u_; }
 
-  /// Advance one step of the configured integrator from time
+  /// Advance one forward-Euler step, u += dt * (L_h u + b(t_k)), from time
   /// t_k = step_index * dt using the scenario's source.
   void step(int step_index);
-
-  /// Evaluate the semi-discrete right-hand side f(t, u) = b(t) + L_h u into
-  /// `out` (padded layout; interior entries written, collar untouched).
-  void eval_rhs(double t, const std::vector<double>& u, std::vector<double>& out);
 
   /// Cumulative kernel execution counters (operator applies, blocks walked,
   /// DPs updated, seconds in the hot loop) since construction. Feeds the

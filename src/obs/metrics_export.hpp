@@ -1,12 +1,10 @@
 #pragma once
 ///
 /// \file metrics_export.hpp
-/// \brief JSON serialization of metrics snapshots and the periodic sampler
-/// output (docs/observability.md).
+/// \brief JSON serialization of metrics snapshots (docs/observability.md).
 ///
 
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -16,14 +14,6 @@ namespace nlh::obs {
 /// `{"counters": {...}, "gauges": {...}, "histograms": {name: {count, sum,
 /// min, max, mean, p50, p90, p99}, ...}}`.
 std::string metrics_json(const metrics_snapshot& snap);
-
-/// A timestamped series of snapshots (periodic_sampler output) as a JSON
-/// array of `{"t_seconds": ..., "metrics": {...}}` objects.
-struct timed_snapshot {
-  double t_seconds = 0.0;  ///< seconds since the sampler started
-  metrics_snapshot metrics;
-};
-std::string metrics_series_json(const std::vector<timed_snapshot>& series);
 
 /// Write `snap` to `path`; false (with a message on stderr) on failure.
 bool write_metrics_json(const std::string& path, const metrics_snapshot& snap);

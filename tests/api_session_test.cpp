@@ -271,11 +271,6 @@ TEST(SessionValidation, DistributedGeometryChecks) {
 
   opt = small_options("manufactured");
   opt.mode = api::execution_mode::distributed;
-  opt.integrator = nl::time_integrator::rk4_classic;
-  EXPECT_TRUE(mentions(api::session::validate(opt), "forward Euler"));
-
-  opt = small_options("manufactured");
-  opt.mode = api::execution_mode::distributed;
   opt.partitioner = api::partition_strategy::recursive_bisection;
   opt.sd_grid = 4;  // 16 SDs
   opt.nodes = 3;

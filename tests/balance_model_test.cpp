@@ -78,9 +78,10 @@ TEST(DependencyTree, ParentBeforeChildren) {
   std::vector<int> pos(4);
   for (int i = 0; i < 4; ++i) pos[static_cast<std::size_t>(tree.order[i])] = i;
   for (int v = 0; v < 4; ++v) {
-    if (tree.parent[static_cast<std::size_t>(v)] != -1)
+    if (tree.parent[static_cast<std::size_t>(v)] != -1) {
       EXPECT_LT(pos[static_cast<std::size_t>(tree.parent[static_cast<std::size_t>(v)])],
                 pos[static_cast<std::size_t>(v)]);
+    }
   }
 }
 

@@ -111,8 +111,9 @@ TEST(CkptCodecDetail, IeeeKeyIsAnOrderPreservingBijection) {
     EXPECT_EQ(bits_in, bits_out);
     // Order preservation: -0.0 < 0.0 in key space is fine (distinct
     // keys); everything numerically ordered must stay ordered.
-    if (i > 0 && ordered[i - 1] < ordered[i])
+    if (i > 0 && ordered[i - 1] < ordered[i]) {
       EXPECT_LT(ieee_key(ordered[i - 1]), ieee_key(ordered[i]));
+    }
   }
   // Total on arbitrary bit patterns (NaNs included).
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -246,6 +247,33 @@ TEST(CkptCodec, RawIsExactlyPayloadPlusHeader) {
   EXPECT_EQ(s.mode, 'r');
   EXPECT_GE(s.encoded_bytes, vals.size() * sizeof(double));
   EXPECT_LE(s.encoded_bytes, vals.size() * sizeof(double) + 16);
+}
+
+TEST(CkptCodecDeathTest, DeltaFrameScaleThatMissesTheBaselineAborts) {
+  // An incremental lattice frame of four zero deltas: the decoder rebuilds
+  // each value from the baseline quantized with the frame's scale, which a
+  // hostile frame picks freely.
+  using namespace ckpt::detail;
+  const std::vector<double> prev{1.0, 0.5, 3.0, -2.0};
+  auto decode_with_scale = [&prev](std::int64_t scale) {
+    net::archive_writer w;
+    w.write_byte('f');
+    write_varint(w, zigzag(static_cast<std::uint64_t>(scale)));
+    write_varint(w, (std::uint64_t{4} << 1) | 1);  // one run of 4 zero deltas
+    const auto buf = w.take();
+    net::archive_reader r(buf);
+    std::vector<double> out(prev.size());
+    ckpt::delta_codec().decode(r, out.data(), out.size(), prev.data());
+    return out;
+  };
+  EXPECT_TRUE(same_bits(decode_with_scale(-1), prev));  // the encoder's lattice
+
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  // 2^200 lattice steps per unit: far past the 2^62 budget (an out-of-range
+  // double -> int64 cast without the check).
+  EXPECT_DEATH(decode_with_scale(-200), "scale does not fit its baseline");
+  // Unit lattice: 0.5 is off it.
+  EXPECT_DEATH(decode_with_scale(0), "scale does not fit its baseline");
 }
 
 // ------------------------------------------------------------------ store --

@@ -19,7 +19,6 @@
 #include "nonlocal/kernel/stencil_plan.hpp"
 #include "nonlocal/nonlocal_operator.hpp"
 #include "nonlocal/serial_solver.hpp"
-#include "nonlocal/steady_state.hpp"
 #include "support/rng.hpp"
 
 namespace nl = nlh::nonlocal;
@@ -328,7 +327,9 @@ TEST(KernelDispatch, SimdAvailabilityIsConsistent) {
   const int level = nl::kernel_simd_compiled_level();
   EXPECT_GE(level, 0);
   EXPECT_LE(level, 2);
-  if (nl::kernel_simd_available()) EXPECT_GT(level, 0);
+  if (nl::kernel_simd_available()) {
+    EXPECT_GT(level, 0);
+  }
 
   nl::grid2d g(8, 2.0 / 8);
   nl::stencil st(g, nl::influence{});
@@ -345,7 +346,9 @@ TEST(KernelDispatch, Avx512AvailabilityIsConsistent) {
   const int level = nl::kernel_avx512_compiled_level();
   EXPECT_GE(level, 0);
   EXPECT_LE(level, 1);
-  if (nl::kernel_avx512_available()) EXPECT_EQ(level, 1);
+  if (nl::kernel_avx512_available()) {
+    EXPECT_EQ(level, 1);
+  }
 
   nl::grid2d g(8, 2.0 / 8);
   nl::stencil st(g, nl::influence{});
@@ -639,18 +642,4 @@ TEST(KernelSolvers, SolverTuningNeverChangesResults) {
   EXPECT_EQ(ks.blocks, static_cast<std::uint64_t>(cfg.num_steps) * 10 * 2);
   EXPECT_GT(ks.seconds, 0.0);
   EXPECT_GT(ks.mdps(), 0.0);
-}
-
-TEST(KernelSolvers, SteadyStateConvergesThroughPlanOverload) {
-  nl::grid2d g(16, 2.0 / 16);
-  nl::stencil st(g, nl::influence{});
-  nl::stencil_plan plan(st);
-  const double c = nl::influence{}.scaling_constant(2, 1.0, g.epsilon());
-  const auto [b, ustar] = nl::manufactured_steady_problem(g, plan, c);
-  auto u = g.make_field();
-  const auto res = nl::solve_steady_state(g, plan, c, b, u);
-  ASSERT_TRUE(res.converged);
-  for (int i = 0; i < g.n(); ++i)
-    for (int j = 0; j < g.n(); ++j)
-      EXPECT_NEAR(u[g.flat(i, j)], ustar[g.flat(i, j)], 1e-7);
 }

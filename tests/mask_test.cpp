@@ -64,8 +64,11 @@ TEST(MaskedDual, VertexMappingRoundTrips) {
     EXPECT_TRUE(m.active(sd));
     EXPECT_EQ(masked.to_vertex[static_cast<std::size_t>(sd)], v);
   }
-  for (int sd = 0; sd < t.num_sds(); ++sd)
-    if (!m.active(sd)) EXPECT_EQ(masked.to_vertex[static_cast<std::size_t>(sd)], -1);
+  for (int sd = 0; sd < t.num_sds(); ++sd) {
+    if (!m.active(sd)) {
+      EXPECT_EQ(masked.to_vertex[static_cast<std::size_t>(sd)], -1);
+    }
+  }
 }
 
 TEST(MaskedDual, NoEdgesIntoInactiveRegion) {

@@ -1,10 +1,9 @@
 // Tests for the observability subsystem (src/obs/): span recording and
 // nesting, cross-thread rings and thread names, ring wraparound accounting,
 // histogram quantile estimation, Chrome-trace / metrics JSON export
-// round-trips, the runtime enable/disable gates, the periodic sampler, and
-// a fully traced mixed batch through the service (the latter rides the
-// TSAN CI job: every tracer/metrics path exercised concurrently with real
-// solver work).
+// round-trips, the runtime enable/disable gates, and a fully traced mixed
+// batch through the service (the latter rides the TSAN CI job: every
+// tracer/metrics path exercised concurrently with real solver work).
 
 #include <gtest/gtest.h>
 
@@ -21,7 +20,6 @@
 #include "obs/config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_export.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace_export.hpp"
 #include "obs/tracer.hpp"
 #include "svc/service.hpp"
@@ -377,27 +375,6 @@ TEST_F(ObsTest, SnapshotMergeAppliesPrefix) {
   EXPECT_EQ(a.counters[0].first, "job/events");
   ASSERT_EQ(a.gauges.size(), 1u);
   EXPECT_EQ(a.gauges[0].first, "job/level");
-}
-
-// ---------------------------------------------------------------- sampler --
-
-TEST_F(ObsTest, PeriodicSamplerCollectsTimedSeries) {
-  std::atomic<int> ticks{0};
-  obs::periodic_sampler sampler(std::chrono::milliseconds(5), [&ticks] {
-    obs::metrics_snapshot s;
-    s.add_counter("test/ticks", static_cast<std::uint64_t>(++ticks));
-    return s;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  sampler.stop();  // takes one final sample; idempotent
-  sampler.stop();
-  const auto series = sampler.samples();
-  ASSERT_GE(series.size(), 2u);
-  for (std::size_t i = 1; i < series.size(); ++i)
-    EXPECT_LE(series[i - 1].t_seconds, series[i].t_seconds);
-  const std::string json = obs::metrics_series_json(series);
-  EXPECT_NE(json.find("\"t_seconds\""), std::string::npos);
-  EXPECT_NE(json.find("\"test/ticks\""), std::string::npos);
 }
 
 // ------------------------------------------- end to end: session + batch --

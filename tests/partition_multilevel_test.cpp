@@ -173,8 +173,9 @@ TEST_P(MultilevelSweep, PartitionContractHolds) {
   // Contract 5: cut is no worse than 3x the strip baseline (usually far
   // better; this guards against degenerate output).
   const auto strip = part::strip_partition(rows, cols, k);
-  if (rows >= k)
+  if (rows >= k) {
     EXPECT_LE(part::edge_cut(g, p), 3.0 * part::edge_cut(g, strip) + 1e-9);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,11 +1,10 @@
-// Tests for capacity traces and the deterministic event queue.
+// Tests for capacity traces.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "sim/capacity_trace.hpp"
-#include "sim/event_queue.hpp"
 
 namespace sim = nlh::sim;
 
@@ -69,64 +68,4 @@ TEST(CapacityTrace, FinishConsistentWithWorkDone) {
           << "start=" << start << " work=" << work;
     }
   }
-}
-
-// ------------------------------------------------------------ event_queue ----
-
-TEST(EventQueue, PopsInTimeOrder) {
-  sim::event_queue q;
-  std::vector<int> order;
-  q.push(3.0, [&] { order.push_back(3); });
-  q.push(1.0, [&] { order.push_back(1); });
-  q.push(2.0, [&] { order.push_back(2); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
-}
-
-TEST(EventQueue, TiesBreakByInsertion) {
-  sim::event_queue q;
-  std::vector<int> order;
-  q.push(1.0, [&] { order.push_back(0); });
-  q.push(1.0, [&] { order.push_back(1); });
-  q.push(1.0, [&] { order.push_back(2); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(EventQueue, EventsCanScheduleEvents) {
-  sim::event_queue q;
-  std::vector<double> times;
-  q.push(1.0, [&] {
-    times.push_back(q.now());
-    q.push(2.0, [&] { times.push_back(q.now()); });
-  });
-  q.run();
-  ASSERT_EQ(times.size(), 2u);
-  EXPECT_DOUBLE_EQ(times[0], 1.0);
-  EXPECT_DOUBLE_EQ(times[1], 2.0);
-}
-
-TEST(EventQueue, StepExecutesOne) {
-  sim::event_queue q;
-  int count = 0;
-  q.push(1.0, [&] { ++count; });
-  q.push(2.0, [&] { ++count; });
-  q.step();
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_DOUBLE_EQ(q.peek_time(), 2.0);
-}
-
-TEST(EventQueue, ClockMonotone) {
-  sim::event_queue q;
-  double last = -1.0;
-  bool monotone = true;
-  for (int i = 20; i > 0; --i)
-    q.push(static_cast<double>(i), [&, i] {
-      if (q.now() < last) monotone = false;
-      last = q.now();
-    });
-  q.run();
-  EXPECT_TRUE(monotone);
 }

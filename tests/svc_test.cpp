@@ -744,7 +744,9 @@ TEST(Traffic, ArrivalTimesIncreaseAndMixMatchesTheFractions) {
   int per_class[svc::qos_class_count] = {};
   std::set<std::string> tenants;
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (i > 0) EXPECT_GT(trace[i].t, trace[i - 1].t);
+    if (i > 0) {
+      EXPECT_GT(trace[i].t, trace[i - 1].t);
+    }
     ++per_class[static_cast<int>(trace[i].cls)];
     tenants.insert(trace[i].tenant);
     EXPECT_EQ(trace[i].id, i);
