@@ -12,7 +12,9 @@
 /// cap of 4 must actually hold 4x more sessions than the cap. The dense
 /// crack field's ratio is *reported* (full-entropy fields hover near 1x by
 /// design) but never gated.
-/// Hibernate/restore latencies ride along for trend tracking. Set
+/// Hibernate/restore latencies (one session through a one-entry
+/// hibernation_manager, wired the way svc::service_loop wires a tenant)
+/// ride along for trend tracking. Set
 /// NLH_BENCH_CHECKPOINT_JSON to redirect the report (default:
 /// ./BENCH_checkpoint.json).
 ///
@@ -29,6 +31,7 @@
 #include "api/scenario.hpp"
 #include "api/session.hpp"
 #include "ckpt/codec.hpp"
+#include "ckpt/hibernation.hpp"
 #include "dist/dist_solver.hpp"
 #include "dist/ownership.hpp"
 #include "support/stopwatch.hpp"
@@ -60,6 +63,20 @@ std::vector<double> dense_frame(std::size_t n) {
     e = x;
   }
   return v;
+}
+
+/// One-entry hibernation manager over `h`, registered the way
+/// svc::service_loop registers a persistent tenant.
+std::unique_ptr<ckpt::hibernation_manager> single_tenant_manager(
+    api::solver_handle& h) {
+  auto m = std::make_unique<ckpt::hibernation_manager>(ckpt::hibernation_options{});
+  ckpt::hibernation_manager::callbacks cb;
+  cb.snapshot_and_release = [&h](net::byte_buffer reuse) {
+    return h.export_and_release(std::move(reuse));
+  };
+  cb.restore = [&h](const net::byte_buffer& b) { h.import_state(b); };
+  m->add_session("tenant", std::move(cb));
+  return m;
 }
 
 }  // namespace
@@ -111,13 +128,15 @@ static void BM_CkptHibernateRestore(benchmark::State& state) {
   api::session_options o;
   o.scenario = "gaussian_pulse";
   o.n = 64;
-  o.hibernation.enabled = true;
   api::session s(o);
   auto& h = s.solver();
   h.run(2);
+  const auto mgr = single_tenant_manager(h);
   for (auto _ : state) {
-    h.hibernate();
-    benchmark::DoNotOptimize(h.current_step());  // forces the restore
+    mgr->hibernate("tenant");
+    mgr->activate("tenant");  // restores
+    mgr->park("tenant");
+    benchmark::DoNotOptimize(h.current_step());
   }
 }
 BENCHMARK(BM_CkptHibernateRestore);
@@ -158,17 +177,18 @@ void measure_hibernate_restore(double* hibernate_ms, double* restore_ms) {
   api::session_options o;
   o.scenario = "gaussian_pulse";
   o.n = 64;
-  o.hibernation.enabled = true;
   api::session s(o);
   auto& h = s.solver();
   h.run(2);
+  const auto mgr = single_tenant_manager(h);
   *hibernate_ms = *restore_ms = 1e300;
   for (int r = 0; r < 5; ++r) {
     nlh::support::stopwatch sw;
-    h.hibernate();
+    mgr->hibernate("tenant");
     *hibernate_ms = std::min(*hibernate_ms, sw.elapsed_s() * 1e3);
     nlh::support::stopwatch sr;
-    h.current_step();  // transparent restore
+    mgr->activate("tenant");  // restores
+    mgr->park("tenant");
     *restore_ms = std::min(*restore_ms, sr.elapsed_s() * 1e3);
   }
 }

@@ -128,7 +128,7 @@ static void BM_ManufacturedSource(benchmark::State& state) {
   nl::grid2d grid(n, 4.0 / n);
   nl::influence J;
   nl::stencil st(grid, J);
-  const double c = J.scaling_constant(2, 1.0, grid.epsilon());
+  const double c = J.scaling_constant(1.0, grid.epsilon());
   nl::manufactured_problem prob(grid, st, c);
   auto w = prob.exact_field(0.25);
   auto out = grid.make_field();

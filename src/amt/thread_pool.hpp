@@ -52,7 +52,6 @@ class thread_pool {
     }
   }
 
-  unsigned num_threads() const { return static_cast<unsigned>(workers_.size()); }
   int locality() const { return locality_; }
 
   /// Total wall-seconds all workers spent executing tasks since the last

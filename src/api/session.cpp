@@ -53,13 +53,12 @@ class solver_impl {
   /// Append backend-specific instruments to a metrics snapshot (serial has
   /// none beyond what runtime_metrics already carries).
   virtual void metrics_into(obs::metrics_snapshot&) const {}
-  /// Serialize the full solver state (self-contained, self-describing)
-  /// through `c` into `w`; returns the raw pre-codec payload bytes (the
-  /// compression-ratio denominator). import_state() on a freshly
+  /// Serialize the full solver state (self-contained, self-describing,
+  /// delta-coded frames) into `w`; returns the raw pre-codec payload bytes
+  /// (the compression-ratio denominator). import_state() on a freshly
   /// constructed impl of the same options must rebuild bitwise-identical
   /// state — the hibernate→restore guarantee (docs/checkpoint.md).
-  virtual std::uint64_t export_state(net::archive_writer& w,
-                                     const ckpt::codec& c) = 0;
+  virtual std::uint64_t export_state(net::archive_writer& w) = 0;
   virtual void import_state(net::archive_reader& r) = 0;
 };
 
@@ -104,8 +103,8 @@ class serial_impl final : public solver_impl {
                    static_cast<double>(solver_.kernel_plan().blocking().col_tile));
   }
 
-  std::uint64_t export_state(net::archive_writer& w,
-                             const ckpt::codec& c) override {
+  std::uint64_t export_state(net::archive_writer& w) override {
+    const ckpt::codec& c = ckpt::delta_codec();
     w.write(static_cast<std::uint8_t>('S'));
     w.write(static_cast<std::int64_t>(steps_));
     w.write(c.name());
@@ -136,7 +135,6 @@ class serial_impl final : public solver_impl {
     cfg.num_steps = o.num_steps;
     cfg.kind = o.kind;
     cfg.backend = resolve_backend(o);
-    cfg.tuning = o.kernel_tuning;
     return cfg;
   }
 
@@ -176,11 +174,10 @@ class dist_impl final : public solver_impl {
     solver_.metrics_into(snap);
   }
 
-  std::uint64_t export_state(net::archive_writer& w,
-                             const ckpt::codec& /*c*/) override {
-    // The distributed snapshot rides the solver's own checkpoint path —
-    // make_config feeds the same codec choice into
-    // dist_config::checkpoint, and the blob is self-describing.
+  std::uint64_t export_state(net::archive_writer& w) override {
+    // The distributed snapshot rides the solver's own checkpoint path
+    // (dist_config::checkpoint's default codec, delta); the blob is
+    // self-describing.
     w.write(static_cast<std::uint8_t>('D'));
     w.write(solver_.checkpoint_full());
     const auto& t = solver_.sd_tiling();
@@ -210,52 +207,26 @@ class dist_impl final : public solver_impl {
     if (const auto s = dist::parse_overlap_schedule(o.overlap_schedule))
       cfg.schedule = *s;
     cfg.backend = resolve_backend(o);
-    cfg.tuning = o.kernel_tuning;
     cfg.rebalance = o.auto_rebalance;
-    // One codec choice drives both the checkpoint path and hibernation.
-    cfg.checkpoint.codec = o.hibernation.codec;
     return cfg;
   }
 
   dist::dist_solver solver_;
 };
 
-bool is_power_of_two(int v) { return v >= 1 && (v & (v - 1)) == 0; }
-
 }  // namespace
 
 // ----------------------------------------------------------- solver_handle --
 
-namespace {
-/// The one key a handle's session-owned hibernation manager tracks.
-constexpr const char* kSelfKey = "session";
-}  // namespace
-
 solver_handle::solver_handle(std::shared_ptr<const scenario> scn,
                              std::unique_ptr<solver_impl> impl,
-                             impl_factory rebuild,
-                             ckpt::hibernation_options hib_opt)
+                             impl_factory rebuild)
     : scenario_(std::move(scn)),
       impl_(std::move(impl)),
       rebuild_(std::move(rebuild)),
-      hib_codec_(ckpt::find_codec(hib_opt.codec)),
       cached_grid_(impl_->grid()),
       cached_dt_(impl_->dt()),
-      cached_backend_(impl_->backend()) {
-  NLH_ASSERT_MSG(hib_codec_ != nullptr,
-                 "solver_handle: unknown hibernation codec (validation gap)");
-  if (hib_opt.enabled) {
-    hib_ = std::make_unique<ckpt::hibernation_manager>(std::move(hib_opt));
-    // Callbacks run on the thread that triggered them, which already holds
-    // step_mu_ (recursive) through hibernate()/ensure_resident_locked().
-    hib_->add_session(
-        kSelfKey,
-        {[this](net::byte_buffer reuse) {
-           return export_state_locked(std::move(reuse));
-         },
-         [this](const net::byte_buffer& bytes) { import_state_locked(bytes); }});
-  }
-}
+      cached_backend_(impl_->backend()) {}
 
 // Members are destroyed in reverse declaration order: driver_ first, whose
 // thread_pool destructor drains queued async steps while impl_ is still
@@ -313,7 +284,7 @@ void solver_handle::set_observer(step_observer cb) {
 
 // grid/dt/backend stay lock-free (documented immutable) by serving the
 // construction-time cache, so they remain valid while the solver state is
-// hibernated and impl_ is gone.
+// exported and impl_ is gone.
 const nonlocal::grid2d& solver_handle::grid() const { return *cached_grid_; }
 
 double solver_handle::dt() const { return cached_dt_; }
@@ -339,40 +310,9 @@ std::uint64_t solver_handle::ghost_bytes() const {
 }
 
 void solver_handle::ensure_resident_locked() const {
-  if (impl_) return;
-  NLH_ASSERT_MSG(hib_ != nullptr,
+  NLH_ASSERT_MSG(impl_ != nullptr,
                  "solver_handle: state was exported (export_and_release); the "
                  "managing layer must import_state() before use");
-  // activate() restores through the import callback; park right away so
-  // the single entry goes back to being LRU-eligible for hibernate().
-  hib_->activate(kSelfKey);
-  hib_->park(kSelfKey);
-}
-
-ckpt::snapshot_blob solver_handle::export_state_locked(net::byte_buffer reuse) {
-  NLH_ASSERT_MSG(impl_ != nullptr, "solver_handle: state already exported");
-  NLH_TRACE_SPAN("api/session_export");
-  net::archive_writer w(std::move(reuse));
-  const auto raw = impl_->export_state(w, *hib_codec_);
-  impl_.reset();  // release the in-memory solver — the point of the exercise
-  return {w.take(), raw};
-}
-
-void solver_handle::import_state_locked(const net::byte_buffer& bytes) {
-  NLH_ASSERT_MSG(impl_ == nullptr, "solver_handle: import over live state");
-  NLH_TRACE_SPAN("api/session_import");
-  impl_ = rebuild_();
-  net::archive_reader r(bytes);
-  impl_->import_state(r);
-  NLH_ASSERT_MSG(r.exhausted(), "solver_handle: trailing bytes in session blob");
-}
-
-void solver_handle::hibernate() {
-  std::lock_guard<std::recursive_mutex> lk(step_mu_);
-  if (!hib_)
-    throw std::logic_error(
-        "solver_handle::hibernate: session_options::hibernation is disabled");
-  hib_->hibernate(kSelfKey);  // false (no-op) when already cold
 }
 
 bool solver_handle::hibernated() const {
@@ -382,12 +322,22 @@ bool solver_handle::hibernated() const {
 
 ckpt::snapshot_blob solver_handle::export_and_release(net::byte_buffer reuse) {
   std::lock_guard<std::recursive_mutex> lk(step_mu_);
-  return export_state_locked(std::move(reuse));
+  NLH_ASSERT_MSG(impl_ != nullptr, "solver_handle: state already exported");
+  NLH_TRACE_SPAN("api/session_export");
+  net::archive_writer w(std::move(reuse));
+  const auto raw = impl_->export_state(w);
+  impl_.reset();  // release the in-memory solver — the point of the exercise
+  return {w.take(), raw};
 }
 
 void solver_handle::import_state(const net::byte_buffer& bytes) {
   std::lock_guard<std::recursive_mutex> lk(step_mu_);
-  import_state_locked(bytes);
+  NLH_ASSERT_MSG(impl_ == nullptr, "solver_handle: import over live state");
+  NLH_TRACE_SPAN("api/session_import");
+  impl_ = rebuild_();
+  net::archive_reader r(bytes);
+  impl_->import_state(r);
+  NLH_ASSERT_MSG(r.exhausted(), "solver_handle: trailing bytes in session blob");
 }
 
 std::vector<double> solver_handle::exact_now_locked() const {
@@ -438,11 +388,6 @@ runtime_metrics solver_handle::metrics_locked() const {
   m.rebalance_moves = rs.moves;
   m.rebalance_imbalance_before = rs.last_imbalance_before;
   m.rebalance_imbalance_after = rs.last_imbalance_after;
-  if (hib_) {
-    const auto hs = hib_->current_stats();
-    m.hibernates = hs.hibernates;
-    m.restores = hs.restores;
-  }
   return m;
 }
 
@@ -464,7 +409,6 @@ obs::metrics_snapshot solver_handle::metrics_snapshot() const {
   snap.add_gauge("api/session/is_distributed", m.is_distributed ? 1.0 : 0.0);
   snap.add_histogram("api/session/step_latency_seconds", m.step_latency);
   impl_->metrics_into(snap);
-  if (hib_) hib_->metrics_into(snap, "api/session/ckpt/");
   return snap;
 }
 
@@ -541,46 +485,6 @@ session::resolved_options session::resolve(const session_options& opt) {
          "default)";
     err(m);
   }
-  // Tuning fields: zero derives, positive overrides (clamped downstream);
-  // negative is always a mistake, so name the field instead of clamping it
-  // silently.
-  if (opt.kernel_tuning.l1d_bytes < 0) {
-    std::ostringstream m;
-    m << "session_options.kernel_tuning.l1d_bytes: must be non-negative; 0 "
-         "probes the machine (got "
-      << opt.kernel_tuning.l1d_bytes << ")";
-    err(m);
-  }
-  if (opt.kernel_tuning.l2_bytes < 0) {
-    std::ostringstream m;
-    m << "session_options.kernel_tuning.l2_bytes: must be non-negative; 0 "
-         "probes the machine (got "
-      << opt.kernel_tuning.l2_bytes << ")";
-    err(m);
-  }
-  if (opt.kernel_tuning.row_block < 0) {
-    std::ostringstream m;
-    m << "session_options.kernel_tuning.row_block: must be non-negative; 0 "
-         "derives from the stencil reach (got "
-      << opt.kernel_tuning.row_block << ")";
-    err(m);
-  }
-  if (opt.kernel_tuning.col_tile < 0) {
-    std::ostringstream m;
-    m << "session_options.kernel_tuning.col_tile: must be non-negative; 0 "
-         "derives from the cache model (got "
-      << opt.kernel_tuning.col_tile << ")";
-    err(m);
-  }
-
-  // Validated regardless of `enabled`: the codec choice also drives the
-  // distributed checkpoint path and the export primitives.
-  if (const auto herr = opt.hibernation.validate(); !herr.empty()) {
-    std::ostringstream m;
-    m << "session_options." << herr;
-    err(m);
-  }
-
   if (opt.mode == execution_mode::serial && opt.auto_rebalance.enabled) {
     std::ostringstream m;
     m << "session_options.auto_rebalance: live rebalancing needs the "
@@ -628,14 +532,6 @@ session::resolved_options session::resolve(const session_options& opt) {
       m << "session_options.overlap_schedule: unknown schedule '"
         << opt.overlap_schedule
         << "'; valid: per_direction, coarse, bulk_sync";
-      err(m);
-    }
-    if (opt.partitioner == partition_strategy::recursive_bisection &&
-        !is_power_of_two(opt.nodes)) {
-      std::ostringstream m;
-      m << "session_options.partitioner: recursive_bisection requires a "
-           "power-of-two node count (got nodes = "
-        << opt.nodes << ")";
       err(m);
     }
     if (scn && opt.sd_grid >= 1) {
@@ -722,9 +618,6 @@ void session::build_distribution() {
       case partition_strategy::multilevel:
         mpart = partition::multilevel_partition(dual.g, popt);
         break;
-      case partition_strategy::recursive_bisection:
-        mpart = partition::recursive_bisection_partition(dual.g, popt);
-        break;
       case partition_strategy::block: {
         // Block baseline over the full grid, projected onto active SDs.
         const auto full =
@@ -750,9 +643,6 @@ void session::build_distribution() {
       case partition_strategy::multilevel:
         part_ = partition::multilevel_partition(dual, popt);
         break;
-      case partition_strategy::recursive_bisection:
-        part_ = partition::recursive_bisection_partition(dual, popt);
-        break;
       case partition_strategy::block:
         part_ = partition::block_partition(opt_.sd_grid, opt_.sd_grid, opt_.nodes);
         break;
@@ -766,8 +656,9 @@ void session::build_distribution() {
 
 solver_handle& session::solver() {
   if (!solver_) {
-    // The factory rebuilds an identically-configured impl on hibernation
-    // restore; the session outlives its handle, so `this` stays valid.
+    // The factory rebuilds an identically-configured impl for
+    // import_state(); the session outlives its handle, so `this` stays
+    // valid.
     auto build = [this]() -> std::unique_ptr<solver_impl> {
       if (opt_.mode == execution_mode::serial)
         return std::make_unique<serial_impl>(opt_, scenario_);
@@ -775,8 +666,7 @@ solver_handle& session::solver() {
     };
     auto impl = build();
     // The handle constructor is private (friended); not make_unique-able.
-    solver_.reset(new solver_handle(scenario_, std::move(impl), std::move(build),
-                                    opt_.hibernation));
+    solver_.reset(new solver_handle(scenario_, std::move(impl), std::move(build)));
   }
   return *solver_;
 }

@@ -36,7 +36,6 @@
 #include "amt/thread_pool.hpp"
 #include "api/scenario.hpp"
 #include "balance/policy.hpp"
-#include "ckpt/codec.hpp"
 #include "ckpt/hibernation.hpp"
 #include "dist/domain_mask.hpp"
 #include "dist/ownership.hpp"
@@ -54,9 +53,8 @@ enum class execution_mode {
 
 /// How the SD dual graph is split across localities (distributed mode).
 enum class partition_strategy {
-  multilevel,           ///< METIS-style multilevel k-way (the default)
-  recursive_bisection,  ///< recursive 2-way multilevel; k must be a power of two
-  block,                ///< rectangular block baseline (no graph model)
+  multilevel,  ///< METIS-style multilevel k-way (the default)
+  block,       ///< rectangular block baseline (no graph model)
 };
 
 /// One declarative description of a run. Subsumes
@@ -106,24 +104,6 @@ struct session_options {
   /// coexist). Empty = follow the process default: the CMake-configured
   /// backend, else the best available one (see docs/api.md).
   std::string kernel_backend;
-  /// Blocked-execution overrides for this session's kernel cache model
-  /// (docs/kernels.md): zero fields derive from the probed cache geometry;
-  /// positive fields override (clamped to the documented bounds); negative
-  /// fields are a validation error. Execution order only — never changes
-  /// results.
-  nonlocal::kernel_tuning kernel_tuning;
-
-  // --- Hibernation (docs/checkpoint.md) -----------------------------------
-  /// When enabled, the solver_handle can park its full solver state in
-  /// cold storage (`solver_handle::hibernate()`): the state is serialized
-  /// through `hibernation.codec`, written to `hibernation.directory` (empty
-  /// = a purged scratch directory) and the in-memory solver is released;
-  /// the next stepping call or solver-state reader transparently restores
-  /// it, bitwise identical. `hibernation.codec` also selects the frame
-  /// codec of the distributed solver's checkpoint path. Multi-tenant LRU
-  /// eviction against `resident_cap` lives one level up, in
-  /// `svc::service_options::hibernation`.
-  ckpt::hibernation_options hibernation;
 };
 
 /// Passed to the per-step observer after every completed step.
@@ -181,12 +161,6 @@ struct runtime_metrics {
   std::uint64_t rebalance_moves = 0;
   double rebalance_imbalance_before = 0.0;
   double rebalance_imbalance_after = 0.0;
-  /// Hibernation round trips of this handle's session-owned manager
-  /// (docs/checkpoint.md); genuine zeros when
-  /// `session_options::hibernation` was disabled (tenant hibernation
-  /// accounts at the service instead).
-  std::uint64_t hibernates = 0;
-  std::uint64_t restores = 0;
 };
 
 /// Internal polymorphic solver body (serial / distributed); defined in
@@ -263,27 +237,19 @@ class solver_handle {
   runtime_metrics metrics() const;
 
   // --- Hibernation (docs/checkpoint.md) -----------------------------------
-  /// Park this session's solver state in cold storage now: the state is
-  /// serialized through the configured codec, the blob written to the
-  /// session's store and the in-memory solver released. Requires
-  /// `session_options::hibernation.enabled` (throws std::logic_error
-  /// otherwise); no-op when already hibernated. Any subsequent stepping
-  /// call or solver-state reader transparently restores first — the round
-  /// trip is bitwise invisible.
-  void hibernate();
-  /// True while the solver state lives in cold storage only (either via
-  /// hibernate() or an external manager's export_and_release()).
-  bool hibernated() const;
-
-  /// Low-level primitives for an external ckpt::hibernation_manager (the
-  /// service_loop's tenant LRU layer): serialize the full solver state into
-  /// a self-contained blob (encoding into `reuse`'s recycled capacity) and
-  /// release the in-memory solver / rebuild it from such a blob. The
-  /// managing layer must serialize these against all stepping of the same
-  /// handle (the service runs one job per tenant key at a time). Without a manager, a released handle
-  /// asserts on use until import_state() runs.
+  /// The primitives a ckpt::hibernation_manager drives (the service_loop's
+  /// tenant LRU layer registers them per tenant): serialize the full solver
+  /// state into a self-contained delta-codec blob (encoding into `reuse`'s
+  /// recycled capacity) and release the in-memory solver / rebuild it from
+  /// such a blob, bitwise identical. The managing layer must serialize
+  /// these against all stepping of the same handle (the service runs one
+  /// job per tenant key at a time) and import_state() before the next use:
+  /// a released handle asserts on every solver-state reader. grid(), dt()
+  /// and backend() stay valid while released.
   ckpt::snapshot_blob export_and_release(net::byte_buffer reuse = {});
   void import_state(const net::byte_buffer& bytes);
+  /// True while the solver state lives in an exported blob only.
+  bool hibernated() const;
 
   /// Everything metrics() reports plus the backend's own instruments
   /// (distributed: ghost traffic counters, message-size and drain-wait
@@ -295,40 +261,32 @@ class solver_handle {
 
  private:
   friend class session;
-  /// Rebuilds a fresh impl of the same options — the hibernation-restore
-  /// path (import_state overwrites the rebuilt state bitwise).
+  /// Rebuilds a fresh impl of the same options — the import_state path
+  /// (which then overwrites the rebuilt state bitwise).
   using impl_factory = std::function<std::unique_ptr<solver_impl>()>;
   solver_handle(std::shared_ptr<const scenario> scn,
-                std::unique_ptr<solver_impl> impl, impl_factory rebuild,
-                ckpt::hibernation_options hib_opt);
+                std::unique_ptr<solver_impl> impl, impl_factory rebuild);
 
   /// Caller holds step_mu_.
   std::vector<double> exact_now_locked() const;
   runtime_metrics metrics_locked() const;
-  /// Restore the solver from cold storage when a hibernated handle is
-  /// touched; caller holds step_mu_.
+  /// Asserts that the solver state is in memory (not exported); caller
+  /// holds step_mu_.
   void ensure_resident_locked() const;
-  ckpt::snapshot_blob export_state_locked(net::byte_buffer reuse);
-  void import_state_locked(const net::byte_buffer& bytes);
   /// The one stepping body behind step/run/step_async/run_async: serialize
   /// behind step_mu_, advance, account wall time, stream observer events.
   runtime_metrics run_steps(int num_steps);
   amt::thread_pool& driver();
 
   std::shared_ptr<const scenario> scenario_;
-  /// Mutable: a hibernated handle rebuilds it inside const readers
-  /// (ensure_resident_locked), always under step_mu_.
-  mutable std::unique_ptr<solver_impl> impl_;
+  /// Null between export_and_release() and import_state().
+  std::unique_ptr<solver_impl> impl_;
   impl_factory rebuild_;
-  const ckpt::codec* hib_codec_;  ///< resolved session_options::hibernation.codec
   /// Immutability cache so the documented lock-free accessors (grid(),
-  /// dt(), backend()) stay valid while the solver is hibernated.
+  /// dt(), backend()) stay valid while the solver state is exported.
   std::optional<nonlocal::grid2d> cached_grid_;
   double cached_dt_ = 0.0;
   nonlocal::kernel_backend cached_backend_;
-  /// Session-owned single-entry manager behind hibernate(); null when
-  /// session_options::hibernation is disabled.
-  mutable std::unique_ptr<ckpt::hibernation_manager> hib_;
   /// Serializes stepping and solver-state readers; recursive so the
   /// observer callback (invoked under it) may call the readers.
   mutable std::recursive_mutex step_mu_;

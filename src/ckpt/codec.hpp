@@ -69,14 +69,10 @@ class codec {
                       const double* prev) const = 0;
 };
 
-/// Knobs for the dist_solver checkpoint path (`dist_config::checkpoint`)
-/// and anything else that emits codec frames.
+/// Knobs for the dist_solver checkpoint path (`dist_config::checkpoint`).
 struct checkpoint_options {
   /// Registry key of the frame codec ("delta", "raw").
   std::string codec = "delta";
-  /// Diff each checkpoint against the previous one (per SD, falling back
-  /// to a full frame whenever the SD migrated since the baseline).
-  bool incremental = true;
 };
 
 /// Singletons (stateless, safe to share across threads).

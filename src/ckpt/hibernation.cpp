@@ -2,11 +2,9 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <sstream>
 
-#include "ckpt/codec.hpp"
 #include "obs/tracer.hpp"
 #include "support/assert.hpp"
 #include "support/stopwatch.hpp"
@@ -28,8 +26,6 @@ std::filesystem::path scratch_directory() {
 
 std::string hibernation_options::validate() const {
   if (resident_cap == 0) return "hibernation.resident_cap must be >= 1";
-  if (find_codec(codec) == nullptr)
-    return "hibernation.codec: unknown codec '" + codec + "'";
   return {};
 }
 
@@ -73,15 +69,6 @@ void hibernation_manager::add_session(const std::string& key, callbacks cb) {
   e->last_used = ++tick_;
   entries_.push_back(std::move(e));
   enforce_cap_locked();
-}
-
-void hibernation_manager::remove_session(const std::string& key) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [&](const auto& e) { return e->key == key; });
-  if (it == entries_.end()) return;
-  store_->erase((*it)->blob_key);
-  entries_.erase(it);
 }
 
 void hibernation_manager::activate(const std::string& key) {
@@ -184,23 +171,21 @@ hibernation_manager::stats hibernation_manager::current_stats() const {
           bytes_encoded_.value()};
 }
 
-void hibernation_manager::metrics_into(obs::metrics_snapshot& into,
-                                       const std::string& prefix) const {
-  into.add_counter(prefix + "hibernates", hibernates_.value());
-  into.add_counter(prefix + "restores", restores_.value());
-  into.add_counter(prefix + "bytes_raw", bytes_raw_.value());
-  into.add_counter(prefix + "bytes_encoded", bytes_encoded_.value());
+void hibernation_manager::metrics_into(obs::metrics_snapshot& into) const {
+  into.add_counter("ckpt/hibernates", hibernates_.value());
+  into.add_counter("ckpt/restores", restores_.value());
+  into.add_counter("ckpt/bytes_raw", bytes_raw_.value());
+  into.add_counter("ckpt/bytes_encoded", bytes_encoded_.value());
   const auto raw = bytes_raw_.value();
   const auto enc = bytes_encoded_.value();
-  into.add_gauge(prefix + "compression_ratio",
+  into.add_gauge("ckpt/compression_ratio",
                  enc ? static_cast<double>(raw) / static_cast<double>(enc) : 0.0);
-  into.add_gauge(prefix + "sessions", static_cast<double>(session_count()));
-  into.add_gauge(prefix + "resident", static_cast<double>(resident_count()));
-  into.add_gauge(prefix + "hibernated", static_cast<double>(hibernated_count()));
-  into.add_gauge(prefix + "bytes_on_disk",
-                 static_cast<double>(store_->bytes_on_disk()));
-  into.add_histogram(prefix + "hibernate_seconds", hibernate_s_.summary());
-  into.add_histogram(prefix + "restore_seconds", restore_s_.summary());
+  into.add_gauge("ckpt/sessions", static_cast<double>(session_count()));
+  into.add_gauge("ckpt/resident", static_cast<double>(resident_count()));
+  into.add_gauge("ckpt/hibernated", static_cast<double>(hibernated_count()));
+  into.add_gauge("ckpt/bytes_on_disk", static_cast<double>(store_->bytes_on_disk()));
+  into.add_histogram("ckpt/hibernate_seconds", hibernate_s_.summary());
+  into.add_histogram("ckpt/restore_seconds", restore_s_.summary());
 }
 
 }  // namespace nlh::ckpt

@@ -14,12 +14,14 @@
 /// round trip except in the `ckpt/*` latency histograms.
 ///
 /// The manager is generic over what a "session" is: clients register two
-/// callbacks per key (snapshot-and-release, restore-from-bytes), which is
-/// how `api::solver_handle` plugs in without this layer depending on the
-/// api facade. Callbacks run under the manager mutex, so hibernates and
-/// restores serialize across sessions; per-session callers must already be
-/// serialized (svc::service_loop runs one job per tenant key at a time)
-/// since activate/park pairs for one key must not interleave.
+/// callbacks per key (snapshot-and-release, restore-from-bytes).
+/// svc::service_loop registers each persistent tenant's
+/// `api::solver_handle::export_and_release` / `import_state` this way, so
+/// this layer does not depend on the api facade. Callbacks run under the
+/// manager mutex, so hibernates and restores serialize across sessions;
+/// per-session callers must already be serialized (the service runs one
+/// job per tenant key at a time) since activate/park pairs for one key
+/// must not interleave.
 ///
 
 #include <cstdint>
@@ -35,8 +37,7 @@
 
 namespace nlh::ckpt {
 
-/// Knobs surfaced as `api::session_options::hibernation` and
-/// `svc::service_options::hibernation`.
+/// Knobs surfaced as `svc::service_options::hibernation`.
 struct hibernation_options {
   bool enabled = false;
   /// Soft ceiling on in-memory sessions: parked residents are evicted
@@ -46,8 +47,6 @@ struct hibernation_options {
   /// Blob directory; empty picks a unique scratch directory under the
   /// system temp path, purged when the manager dies.
   std::string directory;
-  /// Frame codec for snapshots ("delta", "raw").
-  std::string codec = "delta";
 
   /// Empty string when valid, else a description of the first problem.
   std::string validate() const;
@@ -84,9 +83,6 @@ class hibernation_manager {
   /// cap.
   void add_session(const std::string& key, callbacks cb);
 
-  /// Drop a session and any cold blob it left behind.
-  void remove_session(const std::string& key);
-
   /// Pin `key` for use, restoring it from cold storage first when needed.
   /// Balance every activate() with park(); activates don't nest.
   void activate(const std::string& key);
@@ -118,8 +114,7 @@ class hibernation_manager {
 
   /// Append the `ckpt/*` observables (counters, residency gauges,
   /// compression ratio, hibernate/restore latency histograms).
-  void metrics_into(obs::metrics_snapshot& into,
-                    const std::string& prefix = "ckpt/") const;
+  void metrics_into(obs::metrics_snapshot& into) const;
 
  private:
   struct entry {

@@ -138,7 +138,7 @@ dist_solver::dist_solver(const dist_config& cfg, ownership_map own,
             static_cast<double>(cfg.epsilon_factor) / (cfg.sd_cols * cfg.sd_size)),
       J_(cfg.kind),
       stencil_(grid_, J_),
-      c_(J_.scaling_constant(2, cfg.conductivity, grid_.epsilon())),
+      c_(J_.scaling_constant(cfg.conductivity, grid_.epsilon())),
       dt_(cfg.dt > 0.0 ? cfg.dt : cfg.dt_safety * nonlocal::stable_dt(c_, stencil_)),
       kernel_plan_(stencil_),
       scenario_(scn ? std::move(scn)
@@ -156,17 +156,11 @@ dist_solver::dist_solver(const dist_config& cfg, ownership_map own,
         static_cast<unsigned>(cfg.threads_per_locality), l));
 
   blocks_.reserve(static_cast<std::size_t>(tiling_.num_sds()));
-  lu_.reserve(static_cast<std::size_t>(tiling_.num_sds()));
-  for (int sd = 0; sd < tiling_.num_sds(); ++sd) {
+  for (int sd = 0; sd < tiling_.num_sds(); ++sd)
     blocks_.push_back(std::make_unique<sd_block>(tiling_, sd));
-    lu_.emplace_back(
-        static_cast<std::size_t>(blocks_.back()->stride()) * blocks_.back()->stride(),
-        0.0);
-  }
   migration_epoch_.assign(static_cast<std::size_t>(tiling_.num_sds()), 0);
 
   if (cfg_.backend) kernel_plan_.set_backend(*cfg_.backend);
-  kernel_plan_.set_tuning(cfg_.tuning);
   if (cfg_.rebalance.enabled)
     rebalancer_ = std::make_unique<balance::auto_rebalancer>(cfg_.rebalance);
 }
@@ -328,14 +322,17 @@ void dist_solver::set_initial_condition() {
 void dist_solver::compute_rect(int sd, const nonlocal::dp_rect& rect, double t_now) {
   if (rect.empty()) return;
   auto& blk = *blocks_[static_cast<std::size_t>(sd)];
-  auto& lu = lu_[static_cast<std::size_t>(sd)];
 
-  // The per-SD blocks and the scenario's source term share this solver's
-  // compiled plan, dispatching to its pinned backend (or the process
-  // default when dist_config::backend was unset).
+  // L_h[u] lands in u_next over `rect` and is updated in place below: every
+  // kernel writes exactly its rect and reads only u, and no other task of
+  // this step touches this rect of u_next. The per-SD blocks and the
+  // scenario's source term share this solver's compiled plan, dispatching
+  // to its pinned backend (or the process default when dist_config::backend
+  // was unset).
   const auto kt0 = std::chrono::steady_clock::now();
-  nonlocal::apply_nonlocal_operator_raw(blk.u().data(), lu.data(), blk.stride(),
-                                        blk.ghost(), kernel_plan_, c_, rect);
+  nonlocal::apply_nonlocal_operator_raw(blk.u().data(), blk.u_next().data(),
+                                        blk.stride(), blk.ghost(), kernel_plan_, c_,
+                                        rect);
   const auto kt1 = std::chrono::steady_clock::now();
   kernel_applies_.fetch_add(1, std::memory_order_relaxed);
   kernel_blocks_.fetch_add(
@@ -365,10 +362,9 @@ void dist_solver::compute_rect(int sd, const nonlocal::dp_rect& rect, double t_n
     grid_.flat(gi + i, gj + rect.col_end - 1);
     const auto gidx = grid_.flat(gi + i, gj + rect.col_begin);
     const double* u = blk.u().data() + idx;
-    const double* l = lu.data() + idx;
     const double* b = b_field_.data() + gidx;
-    double* next = blk.u_next().data() + idx;
-    for (int k = 0; k < rect.cols(); ++k) next[k] = u[k] + dt_ * (l[k] + b[k]);
+    double* next = blk.u_next().data() + idx;  // holds L_h[u] on entry
+    for (int k = 0; k < rect.cols(); ++k) next[k] = u[k] + dt_ * (next[k] + b[k]);
   }
 }
 
@@ -579,20 +575,18 @@ constexpr std::uint32_t kCkptMagic = 0x4e4c4b31;
 
 }  // namespace
 
-net::byte_buffer dist_solver::checkpoint() {
-  return encode_checkpoint(cfg_.checkpoint.incremental);
-}
+net::byte_buffer dist_solver::checkpoint() { return encode_checkpoint(true); }
 
 net::byte_buffer dist_solver::checkpoint_full() { return encode_checkpoint(false); }
 
-net::byte_buffer dist_solver::encode_checkpoint(bool incremental) {
+net::byte_buffer dist_solver::encode_checkpoint(bool chain) {
   NLH_TRACE_SPAN("dist/checkpoint");
   const ckpt::codec* codec = ckpt::find_codec(cfg_.checkpoint.codec);
   NLH_ASSERT_MSG(codec != nullptr, "dist_solver: unknown checkpoint codec");
 
-  // A delta blob needs a baseline to diff against; the first incremental
-  // checkpoint (and any checkpoint when incremental is off) is full.
-  const bool delta_kind = incremental && ckpt_baseline_.has_value();
+  // A delta blob needs a baseline to diff against; the chain's first
+  // checkpoint (and every checkpoint_full()) is full.
+  const bool delta_kind = chain && ckpt_baseline_.has_value();
   const std::uint64_t seq = ckpt_seq_++;
 
   net::archive_writer w;
@@ -605,7 +599,7 @@ net::byte_buffer dist_solver::encode_checkpoint(bool incremental) {
   w.write(own_.raw());
 
   ckpt_baseline next_baseline;
-  if (incremental && !delta_kind) {
+  if (chain && !delta_kind) {
     next_baseline.seq = seq;
     next_baseline.interiors.resize(static_cast<std::size_t>(tiling_.num_sds()));
     next_baseline.epochs = migration_epoch_;
@@ -627,11 +621,11 @@ net::byte_buffer dist_solver::encode_checkpoint(bool incremental) {
     ckpt_bytes_raw_ += st.raw_bytes;
     ckpt_bytes_encoded_ += st.encoded_bytes;
     (delta_frame ? ckpt_frames_delta_ : ckpt_frames_full_) += 1;
-    if (incremental && !delta_kind) next_baseline.interiors[i] = std::move(vals);
+    if (chain && !delta_kind) next_baseline.interiors[i] = std::move(vals);
   }
   ++ckpt_checkpoints_;
 
-  if (incremental && !delta_kind) ckpt_baseline_ = std::move(next_baseline);
+  if (chain && !delta_kind) ckpt_baseline_ = std::move(next_baseline);
   return w.take();
 }
 

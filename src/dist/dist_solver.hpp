@@ -82,11 +82,6 @@ struct dist_config {
   /// Kernel backend this solver's plan is pinned to; nullopt keeps the
   /// plan following the process default (the historical behaviour).
   std::optional<nonlocal::kernel_backend> backend;
-  /// Blocked-execution overrides for the plan's cache model (see
-  /// block_plan.hpp); the value-initialized default derives everything.
-  /// Execution order only — never changes results or the bitwise
-  /// serial/distributed agreement.
-  nonlocal::kernel_tuning tuning;
   /// Live Algorithm 1 policy (docs/balance.md): when enabled, the solver
   /// owns a balance::auto_rebalancer and runs it after every completed
   /// step, migrating SDs between its own localities whenever the measured
@@ -94,9 +89,7 @@ struct dist_config {
   /// the historical static partition.
   balance::rebalance_policy rebalance;
   /// How checkpoint() encodes snapshots (docs/checkpoint.md): which frame
-  /// codec compresses the per-SD interiors, and whether consecutive
-  /// checkpoints diff against the chain's baseline instead of carrying
-  /// full frames.
+  /// codec compresses the per-SD interiors.
   ckpt::checkpoint_options checkpoint;
 };
 
@@ -221,18 +214,17 @@ class dist_solver {
   void migrate_sd(int sd, int to_node);
 
   /// Snapshot the solver — step counter, ownership, every SD's interior
-  /// field — through the configured frame codec (docs/checkpoint.md).
-  /// With `checkpoint.incremental` (the default) the first call emits a
-  /// full snapshot that becomes the chain's baseline; later calls emit
-  /// delta frames against it, falling back to a full frame for any SD
-  /// that migrated since the baseline. Every blob in the chain stays
-  /// restorable while the baseline stands (i.e. until a full snapshot is
-  /// taken or restored); restore() asserts the match via sequence numbers.
+  /// field — through the configured frame codec (docs/checkpoint.md), as
+  /// an incremental chain: the first call emits a full snapshot that
+  /// becomes the chain's baseline; later calls emit delta frames against
+  /// it, falling back to a full frame for any SD that migrated since the
+  /// baseline. Every blob in the chain stays restorable while the baseline
+  /// stands (i.e. until a full snapshot is taken or restored); restore()
+  /// asserts the match via sequence numbers.
   net::byte_buffer checkpoint();
-  /// Self-contained snapshot regardless of the incremental setting: every
-  /// frame full, restorable on any identically-configured solver with no
-  /// baseline — the hibernation/export path. Leaves the incremental
-  /// chain's baseline untouched.
+  /// Self-contained snapshot: every frame full, restorable on any
+  /// identically-configured solver with no baseline — the hibernation/
+  /// export path. Leaves the incremental chain's baseline untouched.
   net::byte_buffer checkpoint_full();
   void restore(const net::byte_buffer& state);
 
@@ -288,9 +280,8 @@ class dist_solver {
   /// thread posts unpacks to the pools, and is joined while they live.
   net::comm_world comm_;
   std::vector<std::unique_ptr<sd_block>> blocks_;
-  std::vector<std::vector<double>> lu_;  ///< per-SD L_h[u] scratch (padded)
-  std::vector<double> w_field_;          ///< scenario aux field (global grid)
-  std::vector<double> b_field_;          ///< scenario source scratch
+  std::vector<double> w_field_;  ///< scenario aux field (global grid)
+  std::vector<double> b_field_;  ///< scenario source scratch
 
   std::mutex buffer_pool_mu_;
   std::vector<net::byte_buffer> buffer_pool_;  ///< recycled message buffers
@@ -325,7 +316,8 @@ class dist_solver {
     std::vector<std::vector<double>> interiors;  ///< per SD
     std::vector<std::uint64_t> epochs;           ///< migration epoch per SD
   };
-  net::byte_buffer encode_checkpoint(bool incremental);
+  /// `chain`: checkpoint()'s incremental chain; else checkpoint_full().
+  net::byte_buffer encode_checkpoint(bool chain);
   std::optional<ckpt_baseline> ckpt_baseline_;
   std::uint64_t ckpt_seq_ = 0;
 

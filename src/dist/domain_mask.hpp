@@ -4,10 +4,12 @@
 /// \brief Active/inactive SD masks for non-rectangular material domains
 /// (the paper's future-work item: L-shapes, disks, cracked plates).
 ///
-/// A mask flags which SDs carry material. Inactive SDs never compute, never
-/// exchange ghosts and are excluded from the dual graph the partitioner
-/// sees (build_mesh_dual_masked); the case split treats an inactive
-/// neighbor exactly like the domain boundary.
+/// A mask flags which SDs carry material. It shapes the partition and the
+/// virtual-time twin: inactive SDs are excluded from the dual graph the
+/// partitioner sees (build_mesh_dual_masked), and in the twin
+/// (sim_cost_model::sd_active) they never compute or exchange ghosts, with
+/// the case split treating an inactive neighbor exactly like the domain
+/// boundary. The real solvers still compute every SD.
 ///
 
 #include <functional>

@@ -21,26 +21,14 @@ struct delayed_later {
 
 }  // namespace
 
-comm_world::comm_world(int num_localities)
-    : bytes_(static_cast<std::size_t>(num_localities) * num_localities),
-      msgs_(static_cast<std::size_t>(num_localities) * num_localities) {
+comm_world::comm_world(int num_localities) {
   NLH_ASSERT(num_localities >= 1);
   boxes_.reserve(static_cast<std::size_t>(num_localities));
   for (int i = 0; i < num_localities; ++i) boxes_.push_back(std::make_unique<mailbox>());
-  for (auto& b : bytes_) b.store(0);
-  for (auto& m : msgs_) m.store(0);
-}
-
-std::size_t comm_world::pair_index(int src, int dst) const {
-  NLH_ASSERT(src >= 0 && src < size() && dst >= 0 && dst < size());
-  return static_cast<std::size_t>(src) * static_cast<std::size_t>(size()) +
-         static_cast<std::size_t>(dst);
 }
 
 void comm_world::send(int src, int dst, std::uint64_t tag, byte_buffer payload) {
-  const auto idx = pair_index(src, dst);
-  bytes_[idx].fetch_add(payload.size(), std::memory_order_relaxed);
-  msgs_[idx].fetch_add(1, std::memory_order_relaxed);
+  NLH_ASSERT(src >= 0 && src < size() && dst >= 0 && dst < size());
   NLH_TRACE_INSTANT("net/send", payload.size());
   if (delay_enabled_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lk(delay_m_);
@@ -75,11 +63,6 @@ void comm_world::set_delay_model(delay_model model) {
   // Stays true once a model was ever installed (clearing mid-flight must
   // keep send() checking delay_model_ under the lock).
   if (delay_model_) delay_enabled_.store(true, std::memory_order_release);
-}
-
-std::size_t comm_world::delayed_messages() const {
-  std::lock_guard<std::mutex> lk(delay_m_);
-  return delayed_.size();
 }
 
 void comm_world::timer_loop() {
@@ -121,44 +104,6 @@ amt::future<byte_buffer> comm_world::recv(int dst, int src, std::uint64_t tag) {
 mailbox& comm_world::box(int locality) {
   NLH_ASSERT(locality >= 0 && locality < size());
   return *boxes_[static_cast<std::size_t>(locality)];
-}
-
-std::uint64_t comm_world::bytes_sent(int src, int dst) const {
-  return bytes_[pair_index(src, dst)].load(std::memory_order_relaxed);
-}
-
-std::uint64_t comm_world::total_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& b : bytes_) total += b.load(std::memory_order_relaxed);
-  return total;
-}
-
-std::uint64_t comm_world::messages_sent(int src, int dst) const {
-  return msgs_[pair_index(src, dst)].load(std::memory_order_relaxed);
-}
-
-void comm_world::reset_traffic() {
-  for (auto& b : bytes_) b.store(0, std::memory_order_relaxed);
-  for (auto& m : msgs_) m.store(0, std::memory_order_relaxed);
-}
-
-std::uint64_t comm_world::bytes_from(int src) const {
-  std::uint64_t total = 0;
-  for (int dst = 0; dst < size(); ++dst) total += bytes_sent(src, dst);
-  return total;
-}
-
-std::uint64_t comm_world::messages_from(int src) const {
-  std::uint64_t total = 0;
-  for (int dst = 0; dst < size(); ++dst) total += messages_sent(src, dst);
-  return total;
-}
-
-void comm_world::reset_traffic_from(int src) {
-  for (int dst = 0; dst < size(); ++dst) {
-    bytes_[pair_index(src, dst)].store(0, std::memory_order_relaxed);
-    msgs_[pair_index(src, dst)].store(0, std::memory_order_relaxed);
-  }
 }
 
 comm_world::~comm_world() {

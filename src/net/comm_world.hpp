@@ -8,7 +8,8 @@
 /// Sends are byte-copies into the destination mailbox — the data really does
 /// leave the sender's data structures as serialized bytes, so the ghost
 /// exchange exercises the same pack/transfer/unpack path a cluster run
-/// would. Per-pair traffic counters feed the communication analysis bench.
+/// would. The world keeps no traffic counters: dist_solver counts its own
+/// ghost bytes and messages (the `dist/ghost/*` metrics).
 ///
 
 #include <atomic>
@@ -32,10 +33,11 @@ class comm_world {
 
   int size() const { return static_cast<int>(boxes_.size()); }
 
-  /// Transfer `payload` from locality `src` to locality `dst` under `tag`.
-  /// Delivery is immediate unless a delay model is installed (the virtual
-  /// performance model lives in nlh::sim; the delay model below injects
-  /// *real* wall-clock latency for overlap benches and tests).
+  /// Transfer `payload` from locality `src` to locality `dst` under `tag`
+  /// (both must be in [0, size())). Delivery is immediate unless a delay
+  /// model is installed (the virtual performance model lives in nlh::sim;
+  /// the delay model below injects *real* wall-clock latency for overlap
+  /// benches and tests).
   void send(int src, int dst, std::uint64_t tag, byte_buffer payload);
 
   /// Per-message delivery delay in seconds; <= 0 delivers inline.
@@ -44,40 +46,21 @@ class comm_world {
   /// Install a wall-clock delivery-delay model (the latency-injection seam
   /// the overlap bench and the injected-latency tests use): messages whose
   /// modeled delay is positive are handed to a background timer thread and
-  /// delivered that many seconds after send() instead of inline. Traffic
-  /// counters always update at send time; delivery order between messages
-  /// with distinct deadlines follows the deadlines, ties keep send order.
-  /// Pass nullptr to restore inline delivery — messages already queued
-  /// still deliver at their original deadline.
+  /// delivered that many seconds after send() instead of inline. Delivery
+  /// order between messages with distinct deadlines follows the deadlines,
+  /// ties keep send order. Pass nullptr to restore inline delivery —
+  /// messages already queued still deliver at their original deadline.
   void set_delay_model(delay_model model);
-
-  /// Messages currently parked in the timer queue (diagnostics).
-  std::size_t delayed_messages() const;
 
   /// Futurized receive on locality `dst` for a message from `src` with `tag`.
   amt::future<byte_buffer> recv(int dst, int src, std::uint64_t tag);
 
   mailbox& box(int locality);
 
-  /// Total bytes sent from src to dst since construction (or reset).
-  std::uint64_t bytes_sent(int src, int dst) const;
-  std::uint64_t total_bytes() const;
-  std::uint64_t messages_sent(int src, int dst) const;
-  /// All bytes/messages sent *from* one locality (row sums).
-  std::uint64_t bytes_from(int src) const;
-  std::uint64_t messages_from(int src) const;
-  void reset_traffic();
-  /// Reset only the counters of messages originating at `src`.
-  void reset_traffic_from(int src);
-
   ~comm_world();
 
  private:
-  std::size_t pair_index(int src, int dst) const;
-
   std::vector<std::unique_ptr<mailbox>> boxes_;
-  std::vector<std::atomic<std::uint64_t>> bytes_;
-  std::vector<std::atomic<std::uint64_t>> msgs_;
 
   /// One message parked on the timer thread until its deadline.
   struct delayed_msg {
@@ -90,7 +73,7 @@ class comm_world {
   };
   void timer_loop();
 
-  mutable std::mutex delay_m_;
+  std::mutex delay_m_;
   std::condition_variable delay_cv_;
   /// Fast-path gate: send() only touches delay_m_ when a model is (or has
   /// been) installed, so the normal inline-delivery path stays lock-free up

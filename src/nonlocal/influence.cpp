@@ -42,10 +42,8 @@ double influence::moment(int i) const {
   return 0.0;
 }
 
-double influence::scaling_constant(int dim, double conductivity, double epsilon) const {
-  NLH_ASSERT(dim == 1 || dim == 2);
+double influence::scaling_constant(double conductivity, double epsilon) const {
   NLH_ASSERT(epsilon > 0.0);
-  if (dim == 1) return conductivity / (epsilon * epsilon * epsilon * moment(2));
   const double pi = 3.14159265358979323846;
   return 2.0 * conductivity / (pi * epsilon * epsilon * epsilon * epsilon * moment(3));
 }

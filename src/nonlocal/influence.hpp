@@ -29,9 +29,9 @@ class influence {
   /// Simpson quadrature for gaussian).
   double moment(int i) const;
 
-  /// Model constant c for dimension d (1 or 2), conductivity k and horizon
-  /// epsilon, per paper eq. (2): d=1: k/(eps^3 M2); d=2: 2k/(pi eps^4 M3).
-  double scaling_constant(int dim, double conductivity, double epsilon) const;
+  /// Model constant c for conductivity k and horizon epsilon in two
+  /// dimensions, per paper eq. (2): c = 2k/(pi eps^4 M3).
+  double scaling_constant(double conductivity, double epsilon) const;
 
  private:
   influence_kind kind_;

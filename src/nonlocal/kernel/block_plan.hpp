@@ -16,11 +16,12 @@
 ///
 /// Geometry is derived once per stencil_plan from a probed cache model
 /// (`probe_cache_geometry`, Linux sysfs with conservative fallbacks) and
-/// can be overridden per solver through `kernel_tuning`
-/// (`solver_config::tuning`, `dist_config::tuning`,
-/// `api::session_options::kernel_tuning`). Every derived dimension is
-/// clamped to documented bounds, so degenerate inputs (zero-size caches,
-/// reaches wider than the cache) still yield a valid plan.
+/// can be overridden per plan through `kernel_tuning`
+/// (`stencil_plan::set_tuning`; the kernel bench's unblocked arm and the
+/// kernel tests use it, the solvers keep the derived geometry). Every
+/// derived dimension is clamped to documented bounds, so degenerate inputs
+/// (zero-size caches, reaches wider than the cache) still yield a valid
+/// plan.
 ///
 /// Blocking never changes results: blocks partition the rect, each DP is
 /// written exactly once, and every backend accumulates a DP's stencil sum
@@ -35,7 +36,7 @@
 
 namespace nlh::nonlocal {
 
-/// Per-solver kernel tuning knobs. Zero means "derive": probe the cache
+/// Per-plan kernel tuning knobs. Zero means "derive": probe the cache
 /// sizes, size the block dims from the stencil reach. Explicit values are
 /// clamped to the documented bounds, never trusted blindly.
 struct kernel_tuning {

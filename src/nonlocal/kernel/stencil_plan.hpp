@@ -28,8 +28,9 @@
 /// The plan also owns the **blocked execution geometry** (block_plan.hpp):
 /// at construction it derives the (row-block x column-tile) dims from the
 /// stencil reach and the probed cache hierarchy; `set_tuning` re-derives
-/// them under per-solver overrides. Every backend iterates the same
-/// geometry, so row_run and the SIMD paths share one tuning source.
+/// them under explicit overrides (benches and tests only). Every backend
+/// iterates the same geometry, so row_run and the SIMD paths share one
+/// tuning source.
 ///
 
 #include <cstddef>
@@ -80,9 +81,6 @@ class stencil_plan {
   /// no-backend-argument apply overloads) uses `b` regardless of the
   /// process default. Owning solvers call this once at construction.
   void set_backend(kernel_backend b) { backend_ = b; }
-  /// Back to following the process default (the construction state).
-  void clear_backend() { backend_.reset(); }
-  bool has_pinned_backend() const { return backend_.has_value(); }
 
   /// The backend a dispatch through this plan resolves to: the pinned one,
   /// else the process default at call time (so unpinned plans keep tracking
@@ -92,13 +90,12 @@ class stencil_plan {
   }
 
   /// Re-derive the blocked execution geometry under `t` (see
-  /// block_plan.hpp). Owning solvers call this once at construction, before
+  /// block_plan.hpp): the kernel bench's unblocked arm and the kernel tests
+  /// force geometries this way; solvers keep the derived one. Call before
   /// the first apply; it is not synchronized against concurrent dispatch.
   void set_tuning(const kernel_tuning& t) {
-    tuning_ = t;
-    blocking_ = compute_block_geometry(reach_, tuning_);
+    blocking_ = compute_block_geometry(reach_, t);
   }
-  const kernel_tuning& tuning() const { return tuning_; }
 
   /// The (row-block x column-tile) geometry every backend's blocked loop
   /// iterates for this plan.
@@ -111,7 +108,6 @@ class stencil_plan {
   double weight_sum_ = 0.0;
   int reach_ = 0;
   std::optional<kernel_backend> backend_;
-  kernel_tuning tuning_;
   block_geometry blocking_;
 };
 

@@ -13,7 +13,7 @@ serial_solver::serial_solver(const solver_config& cfg,
       grid_(cfg.n, cfg.epsilon_factor / cfg.n),
       J_(cfg.kind),
       stencil_(grid_, J_),
-      c_(J_.scaling_constant(2, cfg.conductivity, grid_.epsilon())),
+      c_(J_.scaling_constant(cfg.conductivity, grid_.epsilon())),
       dt_(cfg.dt > 0.0 ? cfg.dt : cfg.dt_safety * stable_dt(c_, stencil_)),
       plan_(stencil_),
       scenario_(scn ? std::move(scn)
@@ -24,7 +24,6 @@ serial_solver::serial_solver(const solver_config& cfg,
       b_scratch_(grid_.make_field()) {
   NLH_ASSERT(cfg.num_steps >= 1);
   if (cfg.backend) plan_.set_backend(*cfg.backend);
-  plan_.set_tuning(cfg.tuning);
 }
 
 void serial_solver::set_initial_condition() {

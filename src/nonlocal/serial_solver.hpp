@@ -39,10 +39,6 @@ struct solver_config {
   /// Kernel backend this solver's plan is pinned to; nullopt keeps the
   /// plan following the process default (the historical behaviour).
   std::optional<kernel_backend> backend;
-  /// Blocked-execution overrides for the plan's cache model; the
-  /// value-initialized default keeps every field on "derive it" (see
-  /// block_plan.hpp). Never changes results, only execution order.
-  kernel_tuning tuning;
 };
 
 /// Per-run outputs. The error fields stay 0 when the scenario provides no
@@ -62,7 +58,6 @@ class serial_solver {
                          std::shared_ptr<const api::scenario> scn = nullptr);
 
   const grid2d& grid() const { return grid_; }
-  const stencil& interaction_stencil() const { return stencil_; }
   const stencil_plan& kernel_plan() const { return plan_; }
   /// Backend every DP update of this solver dispatches to (the pinned one
   /// when solver_config::backend was set, else the process default).

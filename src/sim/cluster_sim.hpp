@@ -64,7 +64,6 @@ class cluster_sim {
   /// Execute the DAG; callable once. Asserts on dependency cycles.
   void run();
 
-  bool has_run() const { return ran_; }
   double makespan() const;
   double task_start(int id) const;
   double task_finish(int id) const;

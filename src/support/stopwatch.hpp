@@ -20,9 +20,6 @@ class stopwatch {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
 
-  double elapsed_ms() const { return elapsed_s() * 1e3; }
-  double elapsed_us() const { return elapsed_s() * 1e6; }
-
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;

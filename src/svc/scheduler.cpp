@@ -242,10 +242,6 @@ std::uint64_t class_scheduler::shed_expired() const {
   return shed_expired_.value();
 }
 
-std::uint64_t class_scheduler::shed_drained() const {
-  return shed_drained_.value();
-}
-
 std::uint64_t class_scheduler::rounds() const {
   std::lock_guard<std::mutex> lk(mu_);
   return rounds_;

@@ -123,7 +123,6 @@ class class_scheduler {
   int running() const;
   std::uint64_t served(qos_class c) const;
   std::uint64_t shed_expired() const;
-  std::uint64_t shed_drained() const;
   /// Credit top-up rounds so far (the deficit scheduler's progress pulse).
   std::uint64_t rounds() const;
 

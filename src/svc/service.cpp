@@ -254,13 +254,7 @@ api::runtime_metrics service_loop::run_tenant_job(const job_ctx& ctx) {
     slot = &tenants_[key];  // no other job of this key runs: the slot is ours
   }
   if (!*slot) {
-    // The service's manager owns tenant hibernation, so the session's own
-    // single-entry manager stays off; the codec choice rides along for the
-    // frames export_and_release() encodes.
-    api::session_options o = ctx.job.options;
-    o.hibernation.enabled = false;
-    if (hib_) o.hibernation.codec = opt_.hibernation.codec;
-    auto s = std::make_unique<api::session>(std::move(o));
+    auto s = std::make_unique<api::session>(ctx.job.options);
     auto& h = s->solver();  // built now: the callbacks below hold it
     if (hib_) {
       ckpt::hibernation_manager::callbacks cb;

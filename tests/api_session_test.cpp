@@ -194,7 +194,7 @@ TEST(ManufacturedScenario, SeparableFillsMatchPerDpFormulasBitwise) {
   nl::grid2d g(n, 4.0 / n);
   nl::stencil st(g, nl::influence{});
   nl::stencil_plan plan(st);
-  const double c = nl::influence{}.scaling_constant(2, 1.0, g.epsilon());
+  const double c = nl::influence{}.scaling_constant(1.0, g.epsilon());
   const api::scenario_context ctx{&g, &plan, c};
   const api::manufactured_scenario scn;
   const nl::manufactured_problem ref(g, st, c);
@@ -268,13 +268,6 @@ TEST(SessionValidation, DistributedGeometryChecks) {
   opt.mode = api::execution_mode::distributed;
   opt.nodes = 5;  // > 4 SDs
   EXPECT_TRUE(mentions(api::session::validate(opt), "active SDs"));
-
-  opt = small_options("manufactured");
-  opt.mode = api::execution_mode::distributed;
-  opt.partitioner = api::partition_strategy::recursive_bisection;
-  opt.sd_grid = 4;  // 16 SDs
-  opt.nodes = 3;
-  EXPECT_TRUE(mentions(api::session::validate(opt), "power-of-two"));
 }
 
 TEST(SessionValidation, ConstructorThrowsWithAllProblems) {

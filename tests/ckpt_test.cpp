@@ -426,23 +426,18 @@ TEST(CkptHibernation, OptionsValidateActionably) {
   EXPECT_TRUE(opt.validate().empty());
   opt.resident_cap = 0;
   EXPECT_NE(opt.validate().find("resident_cap"), std::string::npos);
-  opt.resident_cap = 1;
-  opt.codec = "zstd";
-  EXPECT_NE(opt.validate().find("codec"), std::string::npos);
 }
 
 // --------------------------------------------- dist incremental checkpoints --
 
 namespace {
 
-dist::dist_config chain_config(const std::string& codec = "delta",
-                               bool incremental = true) {
+dist::dist_config chain_config(const std::string& codec = "delta") {
   dist::dist_config cfg;
   cfg.sd_rows = cfg.sd_cols = 2;
   cfg.sd_size = 8;
   cfg.epsilon_factor = 2;
   cfg.checkpoint.codec = codec;
-  cfg.checkpoint.incremental = incremental;
   return cfg;
 }
 
@@ -490,7 +485,7 @@ TEST(CkptIncremental, EveryCodecMatchesRawSelfContainedState) {
   // fields — codec choice is an encoding detail, never physics.
   std::vector<std::vector<double>> fields;
   for (const auto& codec : ckpt::codec_names()) {
-    const auto cfg = chain_config(codec, false);
+    const auto cfg = chain_config(codec);
     const dist::tiling t(2, 2, 8, 2);
     dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 1, 0, 1}));
     solver.set_initial_condition();
@@ -530,8 +525,7 @@ namespace {
 
 api::session_options small_options(api::execution_mode mode,
                                    const std::string& backend,
-                                   const std::string& schedule,
-                                   const std::string& codec) {
+                                   const std::string& schedule) {
   api::session_options o;
   o.scenario = "gaussian_pulse";
   o.mode = mode;
@@ -541,94 +535,99 @@ api::session_options small_options(api::execution_mode mode,
   o.nodes = 2;
   o.kernel_backend = backend;
   o.overlap_schedule = schedule;
-  o.hibernation.enabled = true;
-  o.hibernation.codec = codec;
   return o;
 }
 
-std::vector<double> uninterrupted_field(api::session_options o, int steps) {
-  o.hibernation.enabled = false;
+std::vector<double> uninterrupted_field(const api::session_options& o, int steps) {
   api::session s(o);
   s.solver().run(steps);
   return s.solver().field();
 }
 
+/// A one-entry hibernation manager over `h`, registered the way
+/// svc::service_loop registers a persistent tenant.
+std::unique_ptr<ckpt::hibernation_manager> single_tenant_manager(
+    api::solver_handle& h) {
+  auto m = std::make_unique<ckpt::hibernation_manager>(ckpt::hibernation_options{});
+  ckpt::hibernation_manager::callbacks cb;
+  cb.snapshot_and_release = [&h](net::byte_buffer reuse) {
+    return h.export_and_release(std::move(reuse));
+  };
+  cb.restore = [&h](const net::byte_buffer& b) { h.import_state(b); };
+  m->add_session("tenant", std::move(cb));
+  return m;
+}
+
 }  // namespace
 
 TEST(CkptSession, HibernateRestoreRunIsBitwiseInvisible) {
-  // Sample the mode x backend x schedule x codec space (full sweep lives
-  // in the nightly soak): each case must be bitwise equal to the
-  // uninterrupted run.
+  // Sample the mode x backend x schedule space (full sweep lives in the
+  // nightly soak): each case must be bitwise equal to the uninterrupted
+  // run.
   const struct {
     api::execution_mode mode;
     const char* backend;
     const char* schedule;
-    const char* codec;
   } cases[] = {
-      {api::execution_mode::serial, "scalar", "per_direction", "delta"},
-      {api::execution_mode::serial, "simd", "per_direction", "raw"},
-      {api::execution_mode::distributed, "scalar", "per_direction", "delta"},
-      {api::execution_mode::distributed, "simd", "bulk_sync", "delta"},
-      {api::execution_mode::distributed, "row_run", "coarse", "raw"},
+      {api::execution_mode::serial, "scalar", "per_direction"},
+      {api::execution_mode::serial, "simd", "per_direction"},
+      {api::execution_mode::distributed, "scalar", "per_direction"},
+      {api::execution_mode::distributed, "simd", "bulk_sync"},
+      {api::execution_mode::distributed, "row_run", "coarse"},
   };
   for (const auto& c : cases) {
-    const auto o = small_options(c.mode, c.backend, c.schedule, c.codec);
+    const auto o = small_options(c.mode, c.backend, c.schedule);
     api::session s(o);
     auto& h = s.solver();
+    const auto mgr = single_tenant_manager(h);
     h.run(3);
-    h.hibernate();
+    EXPECT_TRUE(mgr->hibernate("tenant"));
     EXPECT_TRUE(h.hibernated());
-    h.run(4);  // transparent restore inside the stepping body
+    mgr->activate("tenant");  // restores before handing the session back
     EXPECT_FALSE(h.hibernated());
+    h.run(4);
+    mgr->park("tenant");
     EXPECT_EQ(h.current_step(), 7);
     EXPECT_TRUE(same_bits(h.field(), uninterrupted_field(o, 7)))
         << "mode=" << static_cast<int>(c.mode) << " backend=" << c.backend
-        << " schedule=" << c.schedule << " codec=" << c.codec;
-    const auto m = h.metrics();
-    EXPECT_EQ(m.hibernates, 1u);
-    EXPECT_EQ(m.restores, 1u);
+        << " schedule=" << c.schedule;
+    const auto st = mgr->current_stats();
+    EXPECT_EQ(st.hibernates, 1u);
+    EXPECT_EQ(st.restores, 1u);
   }
 }
 
 TEST(CkptSession, LockFreeAccessorsSurviveHibernation) {
-  const auto o = small_options(api::execution_mode::distributed, "scalar",
-                               "per_direction", "delta");
+  const auto o =
+      small_options(api::execution_mode::distributed, "scalar", "per_direction");
   api::session s(o);
   auto& h = s.solver();
+  const auto mgr = single_tenant_manager(h);
   h.run(2);
   const auto n = h.grid().n();
   const auto dt = h.dt();
   const auto backend = h.backend();
-  h.hibernate();
-  // grid()/dt()/backend() are documented lock-free: they must not restore.
+  EXPECT_TRUE(mgr->hibernate("tenant"));
+  // grid()/dt()/backend() are documented lock-free: they serve a cache
+  // and stay valid while the state lives in cold storage.
   EXPECT_EQ(h.grid().n(), n);
   EXPECT_EQ(h.dt(), dt);
   EXPECT_EQ(h.backend(), backend);
   EXPECT_TRUE(h.hibernated());
-  // A solver-state reader does restore.
-  EXPECT_EQ(h.current_step(), 2);
+  mgr->activate("tenant");
   EXPECT_FALSE(h.hibernated());
+  EXPECT_EQ(h.current_step(), 2);
+  mgr->park("tenant");
 }
 
-TEST(CkptSession, HibernateWithoutOptInThrows) {
+TEST(CkptSessionDeathTest, SolverStateReaderOfAReleasedHandleAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
   api::session_options o;
   o.n = 16;
   api::session s(o);
-  EXPECT_THROW(s.solver().hibernate(), std::logic_error);
-}
-
-TEST(CkptSession, InvalidHibernationOptionsAreRejected) {
-  api::session_options o;
-  o.n = 16;
-  o.hibernation.enabled = true;
-  o.hibernation.codec = "zstd";
-  try {
-    api::session s(o);
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("hibernation.codec"),
-              std::string::npos);
-  }
+  auto& h = s.solver();
+  h.export_and_release();
+  EXPECT_DEATH(h.current_step(), "must import_state\\(\\) before use");
 }
 
 // ----------------------------------------------- service tenant hibernation --

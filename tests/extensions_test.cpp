@@ -100,21 +100,6 @@ TEST(BulkSyncSim, HighLatencyHurtsBulkSyncMore) {
   EXPECT_GT(off.makespan, 1.05 * on.makespan);
 }
 
-// ------------------------------------------------------ network counters ----
-
-TEST(NetworkCountersTest, PerLocalityRowSums) {
-  net::comm_world world(3);
-  world.send(0, 1, 1, net::byte_buffer(10));
-  world.send(0, 2, 2, net::byte_buffer(20));
-  world.send(1, 0, 3, net::byte_buffer(5));
-  EXPECT_EQ(world.bytes_from(0), 30u);
-  EXPECT_EQ(world.messages_from(0), 2u);
-  EXPECT_EQ(world.bytes_from(1), 5u);
-  world.reset_traffic_from(0);
-  EXPECT_EQ(world.bytes_from(0), 0u);
-  EXPECT_EQ(world.bytes_from(1), 5u);  // other rows untouched
-}
-
 // ------------------------------------------------------- time integrators ----
 
 namespace {

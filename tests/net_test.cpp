@@ -304,21 +304,6 @@ TEST(CommWorld, SendRecvAcrossLocalities) {
   EXPECT_EQ(read_payload(f.get()), 123);
 }
 
-TEST(CommWorld, TrafficAccounting) {
-  net::comm_world world(2);
-  const auto payload = make_payload(1);
-  const auto size = payload.size();
-  world.send(0, 1, 1, make_payload(1));
-  world.send(0, 1, 2, make_payload(2));
-  world.send(1, 0, 3, make_payload(3));
-  EXPECT_EQ(world.bytes_sent(0, 1), 2 * size);
-  EXPECT_EQ(world.bytes_sent(1, 0), size);
-  EXPECT_EQ(world.messages_sent(0, 1), 2u);
-  EXPECT_EQ(world.total_bytes(), 3 * size);
-  world.reset_traffic();
-  EXPECT_EQ(world.total_bytes(), 0u);
-}
-
 TEST(CommWorld, SelfSendWorks) {
   net::comm_world world(1);
   world.send(0, 0, 9, make_payload(4));
@@ -344,37 +329,4 @@ TEST(CommWorld, ManyTagsInterleaved) {
   for (int tag = 19; tag >= 0; --tag) world.send(0, 1, tag, make_payload(tag));
   for (int tag = 0; tag < 20; ++tag)
     EXPECT_EQ(read_payload(fs[static_cast<std::size_t>(tag)].get()), tag);
-}
-
-// ------------------------------------------- per-source traffic counters ----
-
-TEST(CommWorld, ResetTrafficFromClearsOnlyThatRow) {
-  net::comm_world world(3);
-  world.send(0, 1, 1, make_payload(1));
-  world.send(0, 2, 2, make_payload(2));
-  world.send(1, 2, 3, make_payload(3));
-  world.send(2, 0, 4, make_payload(4));
-  const auto payload_size = make_payload(0).size();
-
-  ASSERT_EQ(world.bytes_from(0), 2 * payload_size);
-  ASSERT_EQ(world.messages_from(0), 2u);
-
-  world.reset_traffic_from(0);
-  EXPECT_EQ(world.bytes_from(0), 0u);
-  EXPECT_EQ(world.messages_from(0), 0u);
-  // Other source rows are untouched, including the column pointing at 0.
-  EXPECT_EQ(world.bytes_from(1), payload_size);
-  EXPECT_EQ(world.messages_from(1), 1u);
-  EXPECT_EQ(world.bytes_from(2), payload_size);
-  EXPECT_EQ(world.bytes_sent(2, 0), payload_size);
-  EXPECT_EQ(world.total_bytes(), 2 * payload_size);
-}
-
-TEST(CommWorld, ResetTrafficFromDoesNotDropMessages) {
-  // Counters are observability only: a parked message must still be
-  // receivable after its source row is reset.
-  net::comm_world world(2);
-  world.send(0, 1, 77, make_payload(9));
-  world.reset_traffic_from(0);
-  EXPECT_EQ(read_payload(world.recv(1, 0, 77).get()), 9);
 }

@@ -103,14 +103,8 @@ TEST(Influence, ScalingConstant2d) {
   nl::influence J(nl::influence_kind::constant);
   const double eps = 0.1;
   const double k = 2.0;
-  EXPECT_NEAR(J.scaling_constant(2, k, eps),
+  EXPECT_NEAR(J.scaling_constant(k, eps),
               8.0 * k / (M_PI * eps * eps * eps * eps), 1e-9);
-}
-
-TEST(Influence, ScalingConstant1d) {
-  // d=1, J=1: c = k / (eps^3 M2) = 3k / eps^3.
-  nl::influence J(nl::influence_kind::constant);
-  EXPECT_NEAR(J.scaling_constant(1, 1.0, 0.5), 3.0 / 0.125, 1e-9);
 }
 
 // -------------------------------------------------------------- stencil ----
@@ -162,7 +156,7 @@ TEST(Stencil, StableDtPositive) {
   nl::grid2d g(32, 4.0 / 32);
   nl::influence J;
   nl::stencil st(g, J);
-  const double c = J.scaling_constant(2, 1.0, g.epsilon());
+  const double c = J.scaling_constant(1.0, g.epsilon());
   const double dt = nl::stable_dt(c, st);
   EXPECT_GT(dt, 0.0);
   EXPECT_NEAR(dt * c * st.weight_sum(), 1.0, 1e-12);

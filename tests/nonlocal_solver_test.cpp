@@ -96,7 +96,7 @@ TEST(NonlocalOperator, ApproximatesLaplacianOfQuadratic) {
   nl::influence J;
   nl::stencil st(g, J);
   const double k = 1.0;
-  const double c = J.scaling_constant(2, k, g.epsilon());
+  const double c = J.scaling_constant(k, g.epsilon());
   auto u = g.make_field();
   for (int i = -g.ghost(); i < n + g.ghost(); ++i)
     for (int j = -g.ghost(); j < n + g.ghost(); ++j) {
@@ -137,7 +137,7 @@ TEST(Problem, SourceMakesWExactForSemiDiscrete) {
   nl::grid2d g(16, 3.0 / 16);
   nl::influence J;
   nl::stencil st(g, J);
-  const double c = J.scaling_constant(2, 1.0, g.epsilon());
+  const double c = J.scaling_constant(1.0, g.epsilon());
   nl::manufactured_problem prob(g, st, c);
   const double t = 0.37;
   auto w = prob.exact_field(t);

@@ -43,7 +43,6 @@ std::vector<double> serial_reference(const dist::dist_config& cfg, int steps) {
   scfg.num_steps = steps;
   scfg.kind = cfg.kind;
   scfg.backend = cfg.backend;
-  scfg.tuning = cfg.tuning;
   nl::serial_solver s(scfg);
   s.set_initial_condition();
   for (int k = 0; k < steps; ++k) s.step(k);
@@ -158,21 +157,19 @@ TEST(StepPlan, CachesMessageTableAndSplits) {
   }
 }
 
-// ----------------- bitwise equality, schedules x backends x geometries ----
+// ------------------------ bitwise equality, schedules x backends ----
 
-// Third axis: the kernel block geometry. 0 = cache-derived default,
-// 1 = aggressively tight explicit blocking (forces partial blocks inside
-// every fine strip), 2 = unblocked single-block order. Bitwise equality
-// with the serial reference must hold for the full cross product — the
-// per-DP accumulation chain is a function of the stencil alone, never of
-// the rect decomposition or the block geometry.
-using SchedBackendParam = std::tuple<dist::overlap_schedule, std::string, int>;
+// Bitwise equality with the serial reference must hold for the full cross
+// product — the per-DP accumulation chain is a function of the stencil
+// alone, never of the rect decomposition (KernelBlocking covers the block
+// geometry).
+using SchedBackendParam = std::tuple<dist::overlap_schedule, std::string>;
 
 class ScheduleBackendEquivalence
     : public ::testing::TestWithParam<SchedBackendParam> {};
 
 TEST_P(ScheduleBackendEquivalence, BitwiseMatchesSerialReference) {
-  const auto [sched, backend_name, tuning_case] = GetParam();
+  const auto [sched, backend_name] = GetParam();
   dist::dist_config cfg;
   cfg.sd_rows = cfg.sd_cols = 3;
   cfg.sd_size = 6;
@@ -181,12 +178,6 @@ TEST_P(ScheduleBackendEquivalence, BitwiseMatchesSerialReference) {
   cfg.schedule = sched;
   cfg.backend = nl::parse_kernel_backend(backend_name);
   ASSERT_TRUE(cfg.backend.has_value());
-  if (tuning_case == 1) {
-    cfg.tuning.row_block = nl::kernel_min_row_block;
-    cfg.tuning.col_tile = nl::kernel_min_col_tile;
-  } else if (tuning_case == 2) {
-    cfg.tuning = nl::kernel_tuning_unblocked();
-  }
 
   const dist::tiling t(3, 3, 6, 2);
   dist::dist_solver solver(
@@ -205,8 +196,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(dist::overlap_schedule::bulk_sync,
                                          dist::overlap_schedule::coarse,
                                          dist::overlap_schedule::per_direction),
-                       ::testing::Values("scalar", "row_run", "simd", "avx512"),
-                       ::testing::Values(0, 1, 2)));
+                       ::testing::Values("scalar", "row_run", "simd", "avx512")));
 
 // -------------------------------------- plan invalidation via migrations ----
 
