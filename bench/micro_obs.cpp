@@ -7,10 +7,11 @@
 ///
 /// The guard is the regression fence for the "low-overhead tracing" claim
 /// (docs/observability.md): the process exits non-zero when the traced
-/// per-step time exceeds the untraced one by more than 5%. Measurements are
-/// best-of-reps with the two modes interleaved, so scheduler noise and
-/// thermal drift hit both sides alike. Set NLH_BENCH_OBS_JSON to redirect
-/// the report (default: ./BENCH_obs.json).
+/// per-step time exceeds the untraced one by more than 5%. Each repetition
+/// interleaves traced and untraced steps one by one, so scheduler noise and
+/// thermal drift hit both sides alike, and the gate takes the median of the
+/// per-repetition ratios. Set NLH_BENCH_OBS_JSON to redirect the report
+/// (default: ./BENCH_obs.json).
 ///
 
 #include <benchmark/benchmark.h>
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "dist/dist_solver.hpp"
 #include "dist/ownership.hpp"
@@ -86,19 +88,26 @@ BENCHMARK(BM_ObsCounterAdd);
 
 namespace {
 
-/// Per-step seconds over `steps` steps of `solver`.
-double measure_steps(dist::dist_solver& solver, int steps) {
+/// Seconds of one step of `solver` with tracing `traced`.
+double timed_step(dist::dist_solver& solver, bool traced) {
+  obs::set_tracing_enabled(traced);
   nlh::support::stopwatch sw;
-  solver.run(steps);
-  return sw.elapsed_s() / steps;
+  solver.step();
+  return sw.elapsed_s();
 }
 
-/// Step one distributed solver with tracing off and on (interleaved,
-/// best-of-reps) and write the guard JSON. Returns true when the traced
-/// per-step time stays within `max_overhead` of the untraced one.
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t m = v.size() / 2;
+  return v.size() % 2 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+}
+
+/// Step one distributed solver with tracing off and on, interleaved step by
+/// step, and write the guard JSON. Returns true when the median
+/// per-repetition traced/untraced ratio stays within `max_overhead` of 1.
 bool run_obs_guard(const char* path) {
   constexpr double max_overhead = 0.05;
-  constexpr int reps = 5;
+  constexpr int reps = 21;
   constexpr int steps_per_rep = 20;
 
   // Realistic task granularity: 24x24-DP SDs keep each compute task in the
@@ -122,54 +131,50 @@ bool run_obs_guard(const char* path) {
   dist::dist_solver solver(cfg, dist::ownership_map(t, nodes, std::move(owner)));
   solver.set_initial_condition();
 
-  obs::set_tracing_enabled(false);
-  solver.run(10);  // warm-up: plan compile, buffer pools, pool spin-up
+  // Warm-up: plan compile, buffer pools, pool spin-up, and (traced) the
+  // first event of every ring, which allocates its storage.
+  for (int k = 0; k < 10; ++k) timed_step(solver, k % 2 == 1);
 
-  // Each rep measures the two modes back to back (order alternating, so
-  // drift cancels) and contributes one traced/untraced ratio; the gate
-  // takes the *minimum* ratio — the least-disturbed pair. A load spike on
-  // a shared CI runner inflates individual reps but would have to hit the
-  // traced side of every pair to produce a false failure. Rings are
-  // cleared between traced reps so every rep pays the same steady-state
-  // (no-reallocation) recording cost.
-  double untraced = 1e300, traced = 1e300, min_ratio = 1e300;
+  // Each rep steps the two modes alternately, step by step, with the order
+  // of every pair alternating too, so drift and load spikes within a rep
+  // hit both sides alike; it contributes one traced/untraced ratio of its
+  // summed step times. The gate takes the median ratio over the reps,
+  // which a spike on either side cannot move far. Rings are cleared at
+  // each rep's start so every rep pays the same (no-wrap) recording cost.
+  std::vector<double> ratios, untraced_ms, traced_ms;
+  std::size_t events = 0;
   for (int r = 0; r < reps; ++r) {
-    double u, t;
-    if (r % 2 == 0) {
-      obs::set_tracing_enabled(false);
-      u = measure_steps(solver, steps_per_rep);
-      obs::tracer::instance().clear();
-      obs::set_tracing_enabled(true);
-      t = measure_steps(solver, steps_per_rep);
-    } else {
-      obs::tracer::instance().clear();
-      obs::set_tracing_enabled(true);
-      t = measure_steps(solver, steps_per_rep);
-      obs::set_tracing_enabled(false);
-      u = measure_steps(solver, steps_per_rep);
+    obs::tracer::instance().clear();
+    double u = 0.0, tr = 0.0;
+    for (int k = 0; k < steps_per_rep; ++k) {
+      const bool traced_first = (r + k) % 2 == 0;
+      const double first = timed_step(solver, traced_first);
+      const double second = timed_step(solver, !traced_first);
+      tr += traced_first ? first : second;
+      u += traced_first ? second : first;
     }
-    untraced = std::min(untraced, u);
-    traced = std::min(traced, t);
-    min_ratio = std::min(min_ratio, t / u);
+    obs::set_tracing_enabled(false);
+    events = obs::tracer::instance().snapshot().size();
+    ratios.push_back(tr / u);
+    untraced_ms.push_back(u / steps_per_rep * 1e3);
+    traced_ms.push_back(tr / steps_per_rep * 1e3);
   }
-  obs::set_tracing_enabled(false);
-  const double events_per_step =
-      static_cast<double>(obs::tracer::instance().snapshot().size()) /
-      steps_per_rep;
   obs::tracer::instance().clear();
+  const double events_per_step = static_cast<double>(events) / steps_per_rep;
+  const double untraced = median(untraced_ms);
+  const double traced = median(traced_ms);
 
-  const double overhead = min_ratio - 1.0;
+  const double overhead = median(ratios) - 1.0;
   const bool pass = overhead <= max_overhead;
 
   std::printf("\nobs guard (%dx%d SDs, sd_size %d, %d localities x %d threads, "
-              "tracing %s):\n",
+              "%d reps x %d step pairs):\n",
               cfg.sd_rows, cfg.sd_cols, cfg.sd_size, nodes,
-              cfg.threads_per_locality,
-              NLH_OBS_TRACING_COMPILED ? "compiled" : "compiled out");
-  std::printf("  untraced %8.3f ms/step   traced %8.3f ms/step   overhead "
-              "%+.2f%% (gate %.0f%%)   ~%.0f events/step\n",
-              untraced * 1e3, traced * 1e3, overhead * 100.0,
-              max_overhead * 100.0, events_per_step);
+              cfg.threads_per_locality, reps, steps_per_rep);
+  std::printf("  untraced %8.3f ms/step   traced %8.3f ms/step   median "
+              "overhead %+.2f%% (gate %.0f%%)   ~%.0f events/step\n",
+              untraced, traced, overhead * 100.0, max_overhead * 100.0,
+              events_per_step);
 
   std::FILE* fp = std::fopen(path, "w");
   if (!fp) {
@@ -179,7 +184,6 @@ bool run_obs_guard(const char* path) {
   std::fprintf(fp,
                "{\n"
                "  \"bench\": \"micro_obs\",\n"
-               "  \"tracing_compiled\": %s,\n"
                "  \"reps\": %d,\n"
                "  \"steps_per_rep\": %d,\n"
                "  \"untraced_ms_per_step\": %.4f,\n"
@@ -187,11 +191,12 @@ bool run_obs_guard(const char* path) {
                "  \"events_per_step\": %.1f,\n"
                "  \"overhead_fraction\": %.4f,\n"
                "  \"max_overhead_fraction\": %.2f,\n"
-               "  \"pass\": %s\n"
-               "}\n",
-               NLH_OBS_TRACING_COMPILED ? "true" : "false", reps, steps_per_rep,
-               untraced * 1e3, traced * 1e3, events_per_step, overhead,
-               max_overhead, pass ? "true" : "false");
+               "  \"ratios\": [",
+               reps, steps_per_rep, untraced, traced, events_per_step, overhead,
+               max_overhead);
+  for (std::size_t i = 0; i < ratios.size(); ++i)
+    std::fprintf(fp, "%s%.4f", i ? ", " : "", ratios[i]);
+  std::fprintf(fp, "],\n  \"pass\": %s\n}\n", pass ? "true" : "false");
   std::fclose(fp);
   std::printf("  guard %s -> %s\n", pass ? "PASS" : "FAIL", path);
   return pass;

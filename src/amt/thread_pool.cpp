@@ -131,13 +131,12 @@ void thread_pool::run_task(unique_function<void()> task) {
 void thread_pool::worker_loop(unsigned index) {
   current_pool_ = this;
   current_index_ = index;
-#if NLH_OBS_TRACING_COMPILED
-  // Perfetto track label; once per thread, so unconditional is fine.
+  // Perfetto track label; once per thread, so unconditional is fine (a
+  // worker that never records takes its ring with it when it exits).
   obs::tracer::instance().set_thread_name(
       (locality_ >= 0 ? "loc" + std::to_string(locality_) + "/worker-"
                       : "worker-") +
       std::to_string(index));
-#endif
   unique_function<void()> task;
   while (true) {
     if (try_pop_local(index, task) || try_pop_inject(task) || try_steal(index, task)) {

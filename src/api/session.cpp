@@ -50,9 +50,9 @@ class solver_impl {
   virtual bool distributed() const { return false; }
   /// Auto-rebalancing observables (all-zero serial / when disabled).
   virtual balance::rebalance_stats rebalance_stats() const { return {}; }
-  /// Append backend-specific instruments to a metrics snapshot (serial has
-  /// none beyond what runtime_metrics already carries).
-  virtual void metrics_into(obs::metrics_snapshot&) const {}
+  /// Append the solver's own instruments to a metrics snapshot: kernel/*
+  /// for both; the distributed solver adds dist/*, amt/* and balance/*.
+  virtual void metrics_into(obs::metrics_snapshot& snap) const = 0;
   /// Serialize the full solver state (self-contained, self-describing,
   /// delta-coded frames) into `w`; returns the raw pre-codec payload bytes
   /// (the compression-ratio denominator). import_state() on a freshly
@@ -90,17 +90,7 @@ class serial_impl final : public solver_impl {
   int current_step() const override { return steps_; }
   nonlocal::kernel_backend backend() const override { return solver_.backend(); }
   void metrics_into(obs::metrics_snapshot& snap) const override {
-    // Blocked-kernel execution observables (docs/kernels.md) — same names
-    // the distributed impl exports, so dashboards don't branch on mode.
-    const auto& ks = solver_.kernel_stats();
-    snap.add_counter("kernel/applies", ks.applies);
-    snap.add_counter("kernel/blocks", ks.blocks);
-    snap.add_counter("kernel/dps", ks.dps);
-    snap.add_gauge("kernel/mdps", ks.mdps());
-    snap.add_gauge("kernel/block_rows",
-                   static_cast<double>(solver_.kernel_plan().blocking().row_block));
-    snap.add_gauge("kernel/col_tile",
-                   static_cast<double>(solver_.kernel_plan().blocking().col_tile));
+    solver_.kernel_stats().metrics_into(snap, solver_.kernel_plan().blocking());
   }
 
   std::uint64_t export_state(net::archive_writer& w) override {

@@ -58,7 +58,7 @@ std::optional<balance_report> auto_rebalancer::on_step(
   balance_options bopts;
   bopts.deadband = policy_.deadband;
   bopts.max_moves = policy_.max_moves;
-  const auto power = compute_power(counts, busy, bopts.busy_floor);
+  const auto power = compute_power(counts, busy);
   const auto expected = expected_sds(counts, power);
   const auto imbalance = load_imbalance(counts, expected);
   const double imb_before = max_abs(imbalance);

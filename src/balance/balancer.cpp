@@ -16,7 +16,7 @@ balance_report balance_step(const dist::tiling& t, dist::ownership_map& own,
 
   balance_report rep;
   rep.sd_counts_before = own.sd_counts();
-  rep.power = compute_power(rep.sd_counts_before, busy_time, opts.busy_floor);
+  rep.power = compute_power(rep.sd_counts_before, busy_time);
   rep.expected = expected_sds(rep.sd_counts_before, rep.power);
   rep.imbalance = load_imbalance(rep.sd_counts_before, rep.expected);
   rep.tree = build_dependency_tree(own.node_adjacency(t), rep.imbalance);

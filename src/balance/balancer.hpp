@@ -17,8 +17,6 @@
 namespace nlh::balance {
 
 struct balance_options {
-  /// Busy times below this are floored (idle node; see compute_power).
-  double busy_floor = 1e-9;
   /// Nodes whose |imbalance| is below this many SDs are left alone; avoids
   /// thrashing single SDs back and forth between near-balanced nodes.
   double deadband = 0.5;

@@ -35,10 +35,8 @@ hibernation_manager::hibernation_manager(hibernation_options opt)
       restore_s_(obs::histogram_options{1e-7, 1e2, 8}) {
   const auto err = opt_.validate();
   NLH_ASSERT_MSG(err.empty(), "hibernation_manager: invalid options");
-  const bool scratch = opt_.directory.empty();
-  store_ = std::make_unique<checkpoint_store>(
-      scratch ? scratch_directory() : std::filesystem::path(opt_.directory),
-      /*purge_on_close=*/true);
+  store_ = std::make_unique<checkpoint_store>(scratch_directory(),
+                                              /*purge_on_close=*/true);
 }
 
 hibernation_manager::~hibernation_manager() = default;

@@ -44,9 +44,6 @@ struct hibernation_options {
   /// down to it, active sessions are never evicted (so a burst of
   /// concurrently-active sessions may exceed it).
   std::size_t resident_cap = 8;
-  /// Blob directory; empty picks a unique scratch directory under the
-  /// system temp path, purged when the manager dies.
-  std::string directory;
 
   /// Empty string when valid, else a description of the first problem.
   std::string validate() const;

@@ -208,50 +208,34 @@ std::uint64_t dist_solver::migration_epoch(int sd) const {
 
 overlap_stats dist_solver::stats() const {
   overlap_stats s;
-  s.messages = stat_messages_.load(std::memory_order_relaxed);
+  s.messages = ghost_msg_bytes_hist_.summary().count;
   s.interior_early = stat_interior_early_.load(std::memory_order_relaxed);
   s.strips_early = stat_strips_early_.load(std::memory_order_relaxed);
-  s.wait_seconds = wait_seconds_.load(std::memory_order_relaxed);
+  s.wait_seconds = drain_wait_hist_.summary().sum;
   return s;
 }
 
 nonlocal::kernel_exec_stats dist_solver::kernel_stats() const {
-  nonlocal::kernel_exec_stats s;
-  s.applies = kernel_applies_.load(std::memory_order_relaxed);
-  s.blocks = kernel_blocks_.load(std::memory_order_relaxed);
-  s.dps = kernel_dps_.load(std::memory_order_relaxed);
+  auto s = kernel_counts_;
   s.seconds = static_cast<double>(kernel_ns_.load(std::memory_order_relaxed)) * 1e-9;
   return s;
 }
 
 void dist_solver::metrics_into(obs::metrics_snapshot& snap) const {
-  snap.add_counter("dist/ghost/messages",
-                   stat_messages_.load(std::memory_order_relaxed));
-  snap.add_counter("dist/ghost/bytes", ghost_bytes_.load(std::memory_order_relaxed));
+  const auto messages = ghost_msg_bytes_hist_.summary();
+  const auto waits = drain_wait_hist_.summary();
+  snap.add_counter("dist/ghost/messages", messages.count);
+  snap.add_counter("dist/ghost/bytes", static_cast<std::uint64_t>(messages.sum));
   snap.add_counter("dist/overlap/interior_early",
                    stat_interior_early_.load(std::memory_order_relaxed));
   snap.add_counter("dist/overlap/strips_early",
                    stat_strips_early_.load(std::memory_order_relaxed));
-  snap.add_gauge("dist/step/wait_seconds",
-                 wait_seconds_.load(std::memory_order_relaxed));
+  snap.add_gauge("dist/step/wait_seconds", waits.sum);
   snap.add_gauge("dist/step/current", static_cast<double>(step_));
   snap.add_counter("dist/plan/compiles", plan_compiles_);
-  // Blocked-kernel execution (docs/kernels.md): counters accumulate across
-  // every compute_rect on every locality; the gauges report the plan's
-  // chosen block geometry and the effective hot-loop throughput.
-  {
-    const auto ks = kernel_stats();
-    snap.add_counter("kernel/applies", ks.applies);
-    snap.add_counter("kernel/blocks", ks.blocks);
-    snap.add_counter("kernel/dps", ks.dps);
-    snap.add_gauge("kernel/mdps", ks.mdps());
-    snap.add_gauge("kernel/block_rows",
-                   static_cast<double>(kernel_plan_.blocking().row_block));
-    snap.add_gauge("kernel/col_tile",
-                   static_cast<double>(kernel_plan_.blocking().col_tile));
-  }
-  snap.add_histogram("dist/ghost/message_bytes", ghost_msg_bytes_hist_.summary());
-  snap.add_histogram("dist/step/drain_wait_seconds", drain_wait_hist_.summary());
+  kernel_stats().metrics_into(snap, kernel_plan_.blocking());
+  snap.add_histogram("dist/ghost/message_bytes", messages);
+  snap.add_histogram("dist/step/drain_wait_seconds", waits);
   for (int l = 0; l < own_.num_nodes(); ++l) {
     const auto& pool = *pools_[static_cast<std::size_t>(l)];
     snap.add_gauge("amt/pool#" + std::to_string(l) + "/busy_fraction",
@@ -297,6 +281,16 @@ void dist_solver::ensure_plan() {
   if (!plan_dirty_) return;
   plan_ = compile_step_plan(tiling_, own_, schedule(), cfg_.threads_per_locality);
   ++plan_compiles_;
+  // The plan fixes the kernel work of a step: one apply per rectangle.
+  plan_kernel_ = {};
+  for (const auto& g : plan_.groups)
+    for (const auto& pr : g.rects) {
+      const auto& r = pr.rect;
+      ++plan_kernel_.applies;
+      plan_kernel_.blocks += static_cast<std::uint64_t>(nonlocal::count_blocks(
+          kernel_plan_.blocking(), r.row_begin, r.row_end, r.col_begin, r.col_end));
+      plan_kernel_.dps += static_cast<std::uint64_t>(r.area());
+    }
   NLH_TRACE_INSTANT("dist/plan_compile",
                     static_cast<std::uint64_t>(plan_.total_messages));
   gate_left_ = std::make_unique<std::atomic<int>[]>(plan_.groups.size());
@@ -319,8 +313,9 @@ void dist_solver::set_initial_condition() {
   }
 }
 
-void dist_solver::compute_rect(int sd, const nonlocal::dp_rect& rect, double t_now) {
-  if (rect.empty()) return;
+std::uint64_t dist_solver::compute_rect(int sd, const nonlocal::dp_rect& rect,
+                                        double t_now) {
+  if (rect.empty()) return 0;
   auto& blk = *blocks_[static_cast<std::size_t>(sd)];
 
   // L_h[u] lands in u_next over `rect` and is updated in place below: every
@@ -334,17 +329,6 @@ void dist_solver::compute_rect(int sd, const nonlocal::dp_rect& rect, double t_n
                                         blk.stride(), blk.ghost(), kernel_plan_, c_,
                                         rect);
   const auto kt1 = std::chrono::steady_clock::now();
-  kernel_applies_.fetch_add(1, std::memory_order_relaxed);
-  kernel_blocks_.fetch_add(
-      static_cast<std::uint64_t>(nonlocal::count_blocks(
-          kernel_plan_.blocking(), rect.row_begin, rect.row_end, rect.col_begin,
-          rect.col_end)),
-      std::memory_order_relaxed);
-  kernel_dps_.fetch_add(static_cast<std::uint64_t>(rect.area()), std::memory_order_relaxed);
-  kernel_ns_.fetch_add(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(kt1 - kt0).count()),
-      std::memory_order_relaxed);
 
   // The scenario source over the matching global rectangle. Rects of
   // concurrent tasks are disjoint, so the shared scratch is race-free.
@@ -366,6 +350,8 @@ void dist_solver::compute_rect(int sd, const nonlocal::dp_rect& rect, double t_n
     double* next = blk.u_next().data() + idx;  // holds L_h[u] on entry
     for (int k = 0; k < rect.cols(); ++k) next[k] = u[k] + dt_ * (next[k] + b[k]);
   }
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(kt1 - kt0).count());
 }
 
 void dist_solver::step() {
@@ -373,8 +359,6 @@ void dist_solver::step() {
   ensure_plan();
   step_time_ = step_ * dt_;
   ghosts_inflight_.store(plan_.total_messages, std::memory_order_relaxed);
-  stat_messages_.fetch_add(static_cast<std::uint64_t>(plan_.total_messages),
-                           std::memory_order_relaxed);
   parts_left_.store(plan_.parts, std::memory_order_relaxed);
   for (std::size_t g = 0; g < plan_.groups.size(); ++g)
     gate_left_[g].store(plan_.groups[g].gate, std::memory_order_relaxed);
@@ -401,11 +385,10 @@ void dist_solver::step() {
     NLH_TRACE_SPAN("dist/drain");
     done.wait();
   }
-  const double waited_s = sw.elapsed_s();
-  drain_wait_hist_.record(waited_s);
-  // Single writer (the serialized stepping thread): load+store suffices.
-  wait_seconds_.store(wait_seconds_.load(std::memory_order_relaxed) + waited_s,
-                      std::memory_order_relaxed);
+  drain_wait_hist_.record(sw.elapsed_s());
+  kernel_counts_.applies += plan_kernel_.applies;
+  kernel_counts_.blocks += plan_kernel_.blocks;
+  kernel_counts_.dps += plan_kernel_.dps;
 
   for (auto& blk : blocks_) blk->swap_fields();
   ++step_;
@@ -456,7 +439,6 @@ void dist_solver::send_message(int m) {
   for (const auto& gh : msg.ghosts)
     blocks_[static_cast<std::size_t>(gh.src_sd)]->pack(tiling_, opposite(gh.dir), w);
   auto buf = w.take();
-  ghost_bytes_.fetch_add(buf.size(), std::memory_order_relaxed);
   ghost_msg_bytes_hist_.record(static_cast<double>(buf.size()));
   comm_.send(msg.src_locality, msg.dst_locality, ghost_tag(msg), std::move(buf));
 }
@@ -488,16 +470,19 @@ void dist_solver::open_gate(int group, int from_locality) noexcept {
 }
 
 void dist_solver::run_group(const plan_group& g) noexcept {
-  [[maybe_unused]] const char* span = g.gate == 1 ? "dist/interior" : "dist/strip";
+  const char* span = g.gate == 1 ? "dist/interior" : "dist/strip";
   const auto chunk = [this, &g, span](std::size_t k) {
     NLH_TRACE_SPAN(span);
+    std::uint64_t ns = 0, interior_early = 0, strips_early = 0;
     for (int i = g.chunks[k]; i < g.chunks[k + 1]; ++i) {
       const auto& r = g.rects[static_cast<std::size_t>(i)];
-      compute_rect(r.sd, r.rect, step_time_);
+      ns += compute_rect(r.sd, r.rect, step_time_);
       if (ghosts_inflight_.load(std::memory_order_acquire) > 0)
-        (r.strip ? stat_strips_early_ : stat_interior_early_)
-            .fetch_add(1, std::memory_order_relaxed);
+        ++(r.strip ? strips_early : interior_early);
     }
+    kernel_ns_.fetch_add(ns, std::memory_order_relaxed);
+    stat_interior_early_.fetch_add(interior_early, std::memory_order_relaxed);
+    stat_strips_early_.fetch_add(strips_early, std::memory_order_relaxed);
   };
   for (std::size_t k = 1; k + 1 < g.chunks.size(); ++k)
     pools_[static_cast<std::size_t>(g.locality)]->post([this, chunk, k] {

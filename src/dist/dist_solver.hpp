@@ -149,8 +149,10 @@ class dist_solver {
   std::vector<double> gather() const;
 
   /// Bytes of serialized ghost strips sent since construction (excludes
-  /// migration traffic).
-  std::uint64_t ghost_bytes() const { return ghost_bytes_.load(); }
+  /// migration traffic): the sum of `dist/ghost/message_bytes`.
+  std::uint64_t ghost_bytes() const {
+    return static_cast<std::uint64_t>(ghost_msg_bytes_hist_.summary().sum);
+  }
 
   /// The schedule step() executes (dist_config::schedule).
   overlap_schedule schedule() const { return cfg_.schedule; }
@@ -158,9 +160,10 @@ class dist_solver {
   /// Snapshot of the cumulative overlap observables (see overlap_stats).
   overlap_stats stats() const;
 
-  /// Cumulative kernel execution counters across every compute_rect of
-  /// every locality (operator applies, blocks walked, DPs updated, seconds
-  /// in the hot loop). Feeds the kernel/* observables in metrics_into.
+  /// Cumulative kernel execution counters of the completed steps: operator
+  /// applies, blocks walked and DPs updated, as each step's plan fixes
+  /// them, and the seconds compute_rect spent in the kernel. Feeds the
+  /// kernel/* observables in metrics_into; call serialized with step().
   nonlocal::kernel_exec_stats kernel_stats() const;
 
   /// Append this solver's distributed-layer instruments to `snap` under
@@ -229,10 +232,12 @@ class dist_solver {
   void restore(const net::byte_buffer& state);
 
  private:
-  /// One forward-Euler update over a local-coordinate rectangle of `sd`.
-  void compute_rect(int sd, const nonlocal::dp_rect& rect, double t_now);
+  /// One forward-Euler update over a local-coordinate rectangle of `sd`;
+  /// returns the nanoseconds spent in the kernel.
+  std::uint64_t compute_rect(int sd, const nonlocal::dp_rect& rect, double t_now);
 
-  /// Recompile the step plan when ownership changed (migration/restore).
+  /// Recompile the step plan when ownership changed (migration/restore),
+  /// and total the kernel work one step under it does.
   void ensure_plan();
 
   /// step * L^2 + src * L + dst: the tag of one merged ghost message.
@@ -289,6 +294,8 @@ class dist_solver {
   step_plan plan_;
   bool plan_dirty_ = true;
   std::uint64_t plan_compiles_ = 0;
+  /// Applies, blocks and DPs of one step under plan_ (seconds unused).
+  nonlocal::kernel_exec_stats plan_kernel_;
 
   /// The live Algorithm 1 loop (docs/balance.md); null unless
   /// cfg_.rebalance.enabled. step() calls its on_step() after the field
@@ -331,29 +338,23 @@ class dist_solver {
 
   // Overlap observables (see overlap_stats). ghosts_inflight_ counts the
   // current step's messages not yet unpacked; rectangles that finish while
-  // it is non-zero increment the early counters.
+  // it is non-zero count as early, added once per chunk.
   std::atomic<int> ghosts_inflight_{0};
-  std::atomic<std::uint64_t> stat_messages_{0};
   std::atomic<std::uint64_t> stat_interior_early_{0};
   std::atomic<std::uint64_t> stat_strips_early_{0};
-  /// Written only by the (serialized) stepping thread; atomic so stats()
-  /// snapshots from other threads (monitoring during an async run) are
-  /// race-free like the sibling counters.
-  std::atomic<double> wait_seconds_{0.0};
 
-  // kernel/* observables: compute_rect tasks on any locality's pool
-  // accumulate here (relaxed atomics; read by kernel_stats()).
-  std::atomic<std::uint64_t> kernel_applies_{0};
-  std::atomic<std::uint64_t> kernel_blocks_{0};
-  std::atomic<std::uint64_t> kernel_dps_{0};
+  // kernel/* observables: step() adds plan_kernel_ after each drain (one
+  // writer); each chunk adds its rectangles' kernel nanoseconds once.
+  nonlocal::kernel_exec_stats kernel_counts_;
   std::atomic<std::uint64_t> kernel_ns_{0};
 
   int step_ = 0;
-  std::atomic<std::uint64_t> ghost_bytes_{0};
 
-  // Observability instruments (docs/observability.md): merged ghost
-  // message sizes in bytes (recorded by the drivers, mutex-guarded
-  // internally) and the stepping thread's per-step wait in seconds.
+  // Observability instruments (docs/observability.md), each the one store
+  // of its observable: merged ghost message sizes in bytes (recorded by
+  // the drivers, mutex-guarded internally; count = messages, sum = ghost
+  // bytes) and the stepping thread's per-step wait in seconds (sum = the
+  // total wait).
   obs::histogram ghost_msg_bytes_hist_{obs::histogram_options{1.0, 1e9, 4}};
   obs::histogram drain_wait_hist_;
 };

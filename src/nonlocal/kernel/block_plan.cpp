@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "obs/metrics.hpp"
+
 namespace nlh::nonlocal {
 
 namespace {
@@ -177,6 +179,16 @@ std::int64_t count_blocks(const block_geometry& g, int row_begin, int row_end,
   };
   return spans(row_begin, row_end, g.row_block) *
          spans(col_begin, col_end, g.col_tile);
+}
+
+void kernel_exec_stats::metrics_into(obs::metrics_snapshot& snap,
+                                     const block_geometry& g) const {
+  snap.add_counter("kernel/applies", applies);
+  snap.add_counter("kernel/blocks", blocks);
+  snap.add_counter("kernel/dps", dps);
+  snap.add_gauge("kernel/mdps", mdps());
+  snap.add_gauge("kernel/block_rows", static_cast<double>(g.row_block));
+  snap.add_gauge("kernel/col_tile", static_cast<double>(g.col_tile));
 }
 
 }  // namespace nlh::nonlocal

@@ -34,6 +34,10 @@
 
 #include <cstdint>
 
+namespace nlh::obs {
+struct metrics_snapshot;
+}
+
 namespace nlh::nonlocal {
 
 /// Per-plan kernel tuning knobs. Zero means "derive": probe the cache
@@ -114,6 +118,10 @@ struct kernel_exec_stats {
   /// Effective throughput in million DP updates per second (0 when no
   /// kernel time has been measured yet).
   double mdps() const { return seconds > 0.0 ? dps / seconds / 1e6 : 0.0; }
+  /// Append the `kernel/*` metrics: these counters, the throughput and the
+  /// block geometry `g` of the solver's plan. Both solvers export through
+  /// here, so the names never branch on the execution mode.
+  void metrics_into(obs::metrics_snapshot& snap, const block_geometry& g) const;
 };
 
 }  // namespace nlh::nonlocal

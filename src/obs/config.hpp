@@ -1,26 +1,20 @@
 #pragma once
 ///
 /// \file config.hpp
-/// \brief Observability switches: the compile-time tracing master switch and
-/// the process-wide runtime toggles (docs/observability.md).
+/// \brief Observability switches: the process-wide runtime tracing toggle
+/// and ring capacity (docs/observability.md).
 ///
-/// Tracing has two gates. `NLH_OBS_TRACING_COMPILED` (CMake option
-/// `NLH_ENABLE_TRACING`, default ON) decides whether the `NLH_TRACE_*`
-/// macros emit any code at all — with it off the instrumentation is
-/// compile-time zero-cost. When compiled in, `set_tracing_enabled(bool)`
-/// toggles recording at runtime; the disabled fast path is one relaxed
-/// atomic load and a predictable branch per instrumentation site.
+/// Tracing has one gate: `set_tracing_enabled(bool)` toggles recording at
+/// runtime, and the disabled fast path is one relaxed atomic load and a
+/// predictable branch per instrumentation site (bench/micro_obs
+/// `BM_ObsSpanDisabled`).
 ///
-/// Metrics (obs/metrics.hpp) have no compile-time switch: histograms and
-/// counters are recorded at step/job granularity, far off any hot loop.
+/// Metrics (obs/metrics.hpp) have no switch: histograms and counters are
+/// recorded at step/job/chunk granularity, far off any per-DP loop.
 ///
 
 #include <atomic>
 #include <cstddef>
-
-#ifndef NLH_OBS_TRACING_COMPILED
-#define NLH_OBS_TRACING_COMPILED 1
-#endif
 
 namespace nlh::obs {
 

@@ -1,6 +1,6 @@
 ///
 /// \file metrics.cpp
-/// \brief Histogram bucketing/quantiles and the instrument registry.
+/// \brief Histogram bucketing/quantiles and snapshot merging.
 ///
 
 #include "obs/metrics.hpp"
@@ -117,42 +117,6 @@ void metrics_snapshot::merge(const metrics_snapshot& other,
   for (const auto& [n, v] : other.counters) counters.emplace_back(prefix + n, v);
   for (const auto& [n, v] : other.gauges) gauges.emplace_back(prefix + n, v);
   for (const auto& [n, v] : other.histograms) histograms.emplace_back(prefix + n, v);
-}
-
-counter& metrics_registry::get_counter(const std::string& name) {
-  std::lock_guard<std::mutex> lk(m_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<counter>();
-  return *slot;
-}
-
-gauge& metrics_registry::get_gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lk(m_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<gauge>();
-  return *slot;
-}
-
-histogram& metrics_registry::get_histogram(const std::string& name,
-                                           histogram_options opt) {
-  std::lock_guard<std::mutex> lk(m_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<histogram>(opt);
-  return *slot;
-}
-
-metrics_snapshot metrics_registry::snapshot() const {
-  metrics_snapshot s;
-  std::lock_guard<std::mutex> lk(m_);
-  for (const auto& [name, c] : counters_) s.add_counter(name, c->value());
-  for (const auto& [name, g] : gauges_) s.add_gauge(name, g->value());
-  for (const auto& [name, h] : histograms_) s.add_histogram(name, h->summary());
-  return s;
-}
-
-metrics_registry& metrics_registry::global() {
-  static metrics_registry reg;
-  return reg;
 }
 
 }  // namespace nlh::obs

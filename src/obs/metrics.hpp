@@ -6,11 +6,12 @@
 /// (docs/observability.md).
 ///
 /// Naming convention: `subsystem/entity/metric`, e.g.
-/// `dist/ghost/message_bytes` or `svc/batch/queue_wait_seconds`. A
-/// `metrics_registry` maps names to instruments with stable addresses
-/// (look the instrument up once, record through the reference on the hot
-/// path); `snapshot()` freezes everything into a plain `metrics_snapshot`
-/// that `obs/metrics_export.hpp` serializes to JSON.
+/// `dist/ghost/message_bytes` or `svc/batch/queue_wait_seconds`. There is
+/// no registry: each producer (solver, service, scheduler, quota ledger,
+/// hibernation manager) owns its instruments as members and names them
+/// only when it exports them through its `metrics_into(snapshot)` into a
+/// plain `metrics_snapshot`, which `obs/metrics_export.hpp` serializes to
+/// JSON.
 ///
 /// Histograms use log-spaced buckets (`buckets_per_decade` per decade
 /// between `min_value` and `max_value`, plus underflow/overflow): the
@@ -23,8 +24,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -97,8 +96,7 @@ class histogram {
   double max_ = 0.0;
 };
 
-/// Plain-data snapshot of a registry (plus anything callers append by
-/// hand, e.g. per-job summaries).
+/// Plain-data snapshot of the instruments the producers export.
 struct metrics_snapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
@@ -113,33 +111,6 @@ struct metrics_snapshot {
   }
   /// Append everything from `other` (prefix applied to its names).
   void merge(const metrics_snapshot& other, const std::string& prefix = "");
-};
-
-/// Named instrument registry; instruments have stable addresses for the
-/// lifetime of the registry, so hot paths hold references, not names.
-class metrics_registry {
- public:
-  metrics_registry() = default;
-  metrics_registry(const metrics_registry&) = delete;
-  metrics_registry& operator=(const metrics_registry&) = delete;
-
-  /// Find-or-create by name. The options of an existing histogram win over
-  /// the ones passed later.
-  counter& get_counter(const std::string& name);
-  gauge& get_gauge(const std::string& name);
-  histogram& get_histogram(const std::string& name, histogram_options opt = {});
-
-  metrics_snapshot snapshot() const;
-
-  /// Process-wide registry for code without a natural owner (sessions and
-  /// services own their local instruments).
-  static metrics_registry& global();
-
- private:
-  mutable std::mutex m_;
-  std::map<std::string, std::unique_ptr<counter>> counters_;
-  std::map<std::string, std::unique_ptr<gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<histogram>> histograms_;
 };
 
 }  // namespace nlh::obs

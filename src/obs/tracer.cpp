@@ -47,9 +47,10 @@ config current_config() {
 /// once `total > capacity` the ring has wrapped and the oldest events live
 /// at `head`. The capacity is fixed when the ring registers, but `ev` is
 /// only allocated by the first record(): every pool worker names its ring
-/// whether or not tracing is on, and rings live until exit. The mutex
-/// serializes the owning writer against snapshot readers; writers from
-/// other threads never touch it.
+/// whether or not tracing is on. A ring whose `ev` is still empty when its
+/// thread exits is unregistered then; the others live until process exit.
+/// The mutex serializes the owning writer against snapshot readers;
+/// writers from other threads never touch it.
 struct tracer::ring {
   ring(std::size_t cap, std::uint32_t id) : capacity(cap), tid(id) {}
   mutable std::mutex m;
@@ -72,16 +73,31 @@ std::int64_t tracer::now_ns() const { return steady_ns() - epoch_ns_; }
 
 tracer::ring& tracer::local_ring() {
   // One cached ring per (thread, process): the tracer is a singleton, so a
-  // plain thread_local shared_ptr suffices. The registry keeps its own
-  // reference, so events of exited threads survive into later snapshots.
-  thread_local std::shared_ptr<ring> tls;
-  if (!tls) {
+  // plain thread_local holder suffices. The registry keeps its own
+  // reference, so events of exited threads survive into later snapshots;
+  // the holder's destructor drops a ring that never recorded, so threads
+  // that only named themselves leave nothing behind.
+  struct holder {
+    std::shared_ptr<ring> r;
+    ~holder() {
+      if (r) tracer::instance().release(r);
+    }
+  };
+  thread_local holder tls;
+  if (!tls.r) {
     const auto cap = current_config().ring_capacity;
     std::lock_guard<std::mutex> lk(rings_m_);
-    tls = std::make_shared<ring>(cap, next_tid_++);
-    rings_.push_back(tls);
+    tls.r = std::make_shared<ring>(cap, next_tid_++);
+    rings_.push_back(tls.r);
   }
-  return *tls;
+  return *tls.r;
+}
+
+void tracer::release(const std::shared_ptr<ring>& r) {
+  // Same lock order as thread_names(): the registry, then the ring.
+  std::lock_guard<std::mutex> lk(rings_m_);
+  std::lock_guard<std::mutex> rlk(r->m);
+  if (r->ev.empty()) rings_.erase(std::find(rings_.begin(), rings_.end(), r));
 }
 
 void tracer::record(const char* name, char phase, std::uint64_t arg,

@@ -5,12 +5,13 @@
 ///
 /// Every thread that records gets its own fixed-capacity ring of POD
 /// `trace_event`s, registered with the process-wide `tracer` singleton on
-/// first use and kept alive after the thread exits (a snapshot taken later
-/// still sees its events). A ring's capacity is fixed when it registers;
-/// its event storage is allocated by the first recorded event, so threads
-/// that only name themselves cost no storage. Rings wrap silently — the newest
-/// `config::ring_capacity` events per thread survive; `dropped()` counts
-/// the overwritten ones. Each ring is guarded by its own mutex, taken once
+/// first use. A ring that recorded an event is kept alive after its thread
+/// exits (a snapshot taken later still sees its events); a ring that never
+/// did leaves with its thread. A ring's capacity is fixed when it
+/// registers; its event storage is allocated by the first recorded event,
+/// so threads that only name themselves cost no storage. Rings wrap
+/// silently — the newest `config::ring_capacity` events per thread
+/// survive; `dropped()` counts the overwritten ones. Each ring is guarded by its own mutex, taken once
 /// per recorded event; the lock is uncontended except while a snapshot is
 /// being taken, so the steady-state cost per event is one timestamp read
 /// plus one uncontended lock/unlock (measured in bench/micro_obs, gated
@@ -27,8 +28,7 @@
 /// allocation-free. The numeric `arg` rides into the exporter's `args`
 /// object for per-event detail (SD id, byte count, job sequence, ...).
 ///
-/// Use the `NLH_TRACE_*` macros rather than the classes directly: they
-/// compile to nothing when `NLH_OBS_TRACING_COMPILED` is 0 (obs/config.hpp).
+/// Use the `NLH_TRACE_*` macros rather than the classes directly.
 ///
 
 #include <cstdint>
@@ -66,14 +66,15 @@ class tracer {
   void record(const char* name, char phase, std::uint64_t arg,
               std::int64_t ts_ns, std::int64_t dur_ns);
 
-  /// Label the calling thread's ring (shown as the Perfetto track name).
+  /// Label the calling thread's ring (shown as the Perfetto track name),
+  /// registering the ring at the current capacity if it has none yet.
   void set_thread_name(std::string name);
 
   /// Copy out every ring's events, oldest first per thread, merged and
   /// sorted by timestamp. Safe while other threads keep recording.
   std::vector<trace_event> snapshot() const;
 
-  /// tid -> name for every ring that was given one.
+  /// tid -> name for every registered ring that was given one.
   std::vector<std::pair<std::uint32_t, std::string>> thread_names() const;
 
   /// Events lost to ring wraparound since construction / clear().
@@ -91,6 +92,8 @@ class tracer {
 
   struct ring;
   ring& local_ring();
+  /// Thread exit: unregister `r` unless it recorded an event.
+  void release(const std::shared_ptr<ring>& r);
 
   mutable std::mutex rings_m_;
   std::vector<std::shared_ptr<ring>> rings_;
@@ -130,22 +133,13 @@ void trace_end(const char* name);
 }  // namespace nlh::obs
 
 // Instrumentation macros — the only spelling used inside solver/runtime
-// code, so a build with NLH_ENABLE_TRACING=OFF contains no tracing code at
-// all (obs/config.hpp).
+// code; each site costs one relaxed load and a branch while tracing is off.
 #define NLH_OBS_CONCAT2(a, b) a##b
 #define NLH_OBS_CONCAT(a, b) NLH_OBS_CONCAT2(a, b)
 
-#if NLH_OBS_TRACING_COMPILED
 #define NLH_TRACE_SPAN(name) ::nlh::obs::span NLH_OBS_CONCAT(nlh_trace_span_, __LINE__)(name)
 #define NLH_TRACE_SPAN_ARG(name, arg) \
   ::nlh::obs::span NLH_OBS_CONCAT(nlh_trace_span_, __LINE__)(name, (arg))
 #define NLH_TRACE_INSTANT(name, arg) ::nlh::obs::trace_instant((name), (arg))
 #define NLH_TRACE_BEGIN(name, arg) ::nlh::obs::trace_begin((name), (arg))
 #define NLH_TRACE_END(name) ::nlh::obs::trace_end((name))
-#else
-#define NLH_TRACE_SPAN(name) static_cast<void>(0)
-#define NLH_TRACE_SPAN_ARG(name, arg) static_cast<void>(0)
-#define NLH_TRACE_INSTANT(name, arg) static_cast<void>(0)
-#define NLH_TRACE_BEGIN(name, arg) static_cast<void>(0)
-#define NLH_TRACE_END(name) static_cast<void>(0)
-#endif

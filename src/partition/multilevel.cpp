@@ -14,6 +14,9 @@ namespace nlh::partition {
 
 namespace {
 
+/// Greedy boundary refinement passes per uncoarsening level.
+constexpr int passes_per_level = 8;
+
 struct coarse_level {
   graph g;
   std::vector<vid> cmap;  ///< fine vertex -> coarse vertex
@@ -398,9 +401,7 @@ partition_vector multilevel_partition(const graph& g, const partition_options& o
   if (opt.k == 1) return partition_vector(static_cast<std::size_t>(g.num_vertices()), 0);
 
   // Phase 1: coarsen.
-  const vid stop_at = opt.coarsen_until > 0
-                          ? opt.coarsen_until
-                          : std::max<vid>(static_cast<vid>(8 * opt.k), 32);
+  const vid stop_at = std::max<vid>(static_cast<vid>(8 * opt.k), 32);
   std::vector<coarse_level> levels;
   const graph* current = &g;
   while (current->num_vertices() > stop_at) {
@@ -413,7 +414,7 @@ partition_vector multilevel_partition(const graph& g, const partition_options& o
 
   // Phase 2: initial partition of the coarsest graph.
   partition_vector part = greedy_grow(*current, opt.k, gen);
-  refine_partition(*current, part, opt.k, opt.balance_tolerance, opt.refinement_passes);
+  refine_partition(*current, part, opt.k, multilevel_balance_tolerance, passes_per_level);
 
   // Phase 3: uncoarsen + refine at every level.
   for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
@@ -423,7 +424,7 @@ partition_vector multilevel_partition(const graph& g, const partition_options& o
       fine_part[static_cast<std::size_t>(u)] =
           part[static_cast<std::size_t>(it->cmap[static_cast<std::size_t>(u)])];
     part = std::move(fine_part);
-    refine_partition(finer, part, opt.k, opt.balance_tolerance, opt.refinement_passes);
+    refine_partition(finer, part, opt.k, multilevel_balance_tolerance, passes_per_level);
   }
 
   // Contiguity cleanup on the finest graph. First absorb stray components
@@ -433,7 +434,7 @@ partition_vector multilevel_partition(const graph& g, const partition_options& o
   // contiguity-preserving moves — interleaving the two oscillates.
   while (absorb_stray_components(g, part, opt.k)) {
   }
-  rebalance_contiguous(g, part, opt.k, opt.balance_tolerance,
+  rebalance_contiguous(g, part, opt.k, multilevel_balance_tolerance,
                        static_cast<int>(g.num_vertices()));
   validate_partition(g, part, opt.k);
   return part;

@@ -17,7 +17,11 @@
 
 namespace nlh::partition {
 
-/// Partition `g` into opt.k balanced parts minimizing weighted edge cut.
+/// Max part weight / ideal part weight multilevel_partition allows.
+inline constexpr double multilevel_balance_tolerance = 1.10;
+
+/// Partition `g` into opt.k balanced parts (within
+/// multilevel_balance_tolerance) minimizing weighted edge cut.
 /// Deterministic for a fixed seed. Aborts (assert) on k < 1 or k > V.
 partition_vector multilevel_partition(const graph& g, const partition_options& opt);
 

@@ -10,11 +10,8 @@
 namespace nlh::partition {
 
 struct partition_options {
-  int k = 2;                     ///< number of parts
-  double balance_tolerance = 1.10;  ///< max part weight / ideal allowed
-  unsigned seed = 12345;         ///< RNG seed for deterministic runs
-  int refinement_passes = 8;     ///< FM passes per level
-  vid coarsen_until = 0;         ///< stop coarsening below this (0 = auto)
+  int k = 2;              ///< number of parts
+  unsigned seed = 12345;  ///< RNG seed for deterministic runs
 };
 
 /// Contiguous strip partition over a row-major R x C grid dual graph: parts

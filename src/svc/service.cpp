@@ -41,10 +41,6 @@ std::vector<std::string> validate(const service_options& opt) {
         "service_options.max_concurrent: " + std::to_string(opt.max_concurrent) +
         " slots exceed pool_threads " + std::to_string(opt.pool_threads) +
         "; every running job occupies one worker, so excess slots can never fill");
-  if (opt.tick_seconds < 0.0)
-    errs.push_back("service_options.tick_seconds: must be >= 0 (0 disables "
-                   "the ticker; got " +
-                   std::to_string(opt.tick_seconds) + ")");
   for (auto e : opt.qos.validate())
     errs.push_back("service_options." + std::move(e));
   for (auto e : opt.default_quota.validate())
@@ -85,18 +81,16 @@ service_loop::service_loop(service_options opt)
   for (const auto& [tenant, q] : opt_.tenant_quotas) quota_.set_quota(tenant, q);
   if (opt_.hibernation.enabled)
     hib_ = std::make_unique<ckpt::hibernation_manager>(opt_.hibernation);
-  if (opt_.tick_seconds > 0.0) {
-    ticker_ = std::thread([this] {
-      std::unique_lock<std::mutex> lk(tick_mu_);
-      while (!tick_stop_) {
-        tick_cv_.wait_for(lk, std::chrono::duration<double>(opt_.tick_seconds));
-        if (tick_stop_) break;
-        lk.unlock();
-        sched_.pump();
-        lk.lock();
-      }
-    });
-  }
+  ticker_ = std::thread([this] {
+    std::unique_lock<std::mutex> lk(tick_mu_);
+    while (!tick_stop_) {
+      tick_cv_.wait_for(lk, std::chrono::milliseconds(1));
+      if (tick_stop_) break;
+      lk.unlock();
+      sched_.pump();
+      lk.lock();
+    }
+  });
 }
 
 service_loop::~service_loop() {
@@ -109,7 +103,7 @@ service_loop::~service_loop() {
     tick_stop_ = true;
   }
   tick_cv_.notify_all();
-  if (ticker_.joinable()) ticker_.join();
+  ticker_.join();
 }
 
 double service_loop::now_s() const {

@@ -103,9 +103,6 @@ struct service_options {
   unsigned pool_threads = 4;
   /// Execution slots; 0 = pool_threads. Must not exceed pool_threads.
   int max_concurrent = 0;
-  /// Ticker cadence for time-driven work (quota ready_at, deadlines).
-  /// 0 disables the ticker — then tests must drive scheduler().pump().
-  double tick_seconds = 0.001;
   /// When enabled, at most `hibernation.resident_cap` persistent tenants
   /// stay in memory; the least-recently-used idle ones are compressed to
   /// cold storage and restored when their next job starts. Key-less jobs
@@ -240,7 +237,7 @@ class service_loop {
   std::map<std::string, std::unique_ptr<api::session>> tenants_;
   std::unique_ptr<ckpt::hibernation_manager> hib_;
 
-  /// Ticker: pumps the scheduler every tick_seconds so ready_at times and
+  /// Ticker: pumps the scheduler every millisecond so ready_at times and
   /// deadlines fire without traffic. Joined in ~service_loop before any
   /// member dies.
   std::mutex tick_mu_;

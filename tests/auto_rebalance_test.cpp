@@ -19,6 +19,7 @@
 #include "balance/auto_rebalancer.hpp"
 #include "dist/dist_solver.hpp"
 #include "nonlocal/kernel/backend.hpp"
+#include "nonlocal/kernel/block_plan.hpp"
 #include "nonlocal/serial_solver.hpp"
 #include "support/rng.hpp"
 
@@ -263,6 +264,68 @@ TEST(RebalanceZeroImbalance, NoEpochFiresAndPlanStaysCached) {
 
   expect_bitwise_equal(solver.grid(), solver.gather(),
                        serial_reference(cfg, steps));
+}
+
+// ---------------------------------------------------- plan-fixed counters ---
+
+TEST(RebalanceMetrics, KernelAndGhostCountersAddThePlanOfEveryStep) {
+  // What a step applies, walks, updates and sends is fixed by the plan it
+  // runs. Migrations change the plan between steps, and the cumulative
+  // counters must add exactly the facts of the plan each step ran.
+  dist::dist_config cfg;
+  cfg.sd_rows = cfg.sd_cols = 3;
+  cfg.sd_size = 6;
+  cfg.epsilon_factor = 2;
+  cfg.threads_per_locality = 2;
+  cfg.rebalance.enabled = true;
+  cfg.rebalance.interval = 1;
+  cfg.rebalance.trigger = 0.0;
+  cfg.rebalance.cooldown = 0;
+  const dist::tiling t(3, 3, 6, 2);
+  dist::dist_solver solver(cfg, battery_ownership(t));
+  // The slow locality rotates check by check, so SDs keep moving.
+  auto checks = std::make_shared<std::size_t>(0);
+  solver.rebalancer()->set_sampler([checks](const dist::dist_solver& s) {
+    std::vector<double> busy(static_cast<std::size_t>(s.owners().num_nodes()), 0.1);
+    busy[(*checks)++ % busy.size()] = 0.9;
+    return busy;
+  });
+  solver.set_initial_condition();
+
+  const auto n = static_cast<std::uint64_t>(t.sd_rows() * t.sd_size());
+  const auto& geometry = solver.kernel_plan().blocking();
+  std::uint64_t applies = 0, blocks = 0, messages = 0, bytes = 0;
+  const int steps = 8;
+  for (int k = 1; k <= steps; ++k) {
+    const auto& plan = solver.plan();  // the plan this step will run
+    std::uint64_t dps = 0;
+    for (const auto& g : plan.groups)
+      for (const auto& r : g.rects) {
+        ++applies;
+        blocks += static_cast<std::uint64_t>(nl::count_blocks(
+            geometry, r.rect.row_begin, r.rect.row_end, r.rect.col_begin,
+            r.rect.col_end));
+        dps += static_cast<std::uint64_t>(r.rect.area());
+      }
+    EXPECT_EQ(dps, n * n);  // every DP updated once per step
+    messages += static_cast<std::uint64_t>(plan.total_messages);
+    // Each strip goes on the wire as its DP count, then its doubles.
+    for (const auto& m : plan.messages)
+      for (const auto& gh : m.ghosts)
+        bytes += sizeof(std::uint64_t) +
+                 sizeof(double) * static_cast<std::uint64_t>(t.recv_rect(gh.dir).area());
+
+    solver.step();
+    const auto ks = solver.kernel_stats();
+    EXPECT_EQ(ks.applies, applies) << "step " << k;
+    EXPECT_EQ(ks.blocks, blocks) << "step " << k;
+    EXPECT_EQ(ks.dps, static_cast<std::uint64_t>(k) * n * n) << "step " << k;
+    EXPECT_EQ(solver.stats().messages, messages) << "step " << k;
+    EXPECT_EQ(solver.ghost_bytes(), bytes) << "step " << k;
+  }
+  EXPECT_GE(solver.rebalance_stats().epochs, 2u);
+  EXPECT_GE(solver.rebalance_stats().moves, 2u);
+  EXPECT_GE(solver.plan_compiles(), 3u);  // the counters followed recompiles
 }
 
 // --------------------------------------------- partition/report property ----

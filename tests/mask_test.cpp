@@ -104,7 +104,8 @@ TEST(MaskedDual, PartitionerWorksOnLShape) {
   const auto p = part::multilevel_partition(masked.g, popt);
   part::validate_partition(masked.g, p, 4);
   EXPECT_TRUE(part::parts_contiguous(masked.g, p, 4));
-  EXPECT_LE(part::balance_factor(masked.g, p, 4), popt.balance_tolerance + 0.15);
+  EXPECT_LE(part::balance_factor(masked.g, p, 4),
+            part::multilevel_balance_tolerance + 0.15);
 }
 
 TEST(MaskedCaseSplit, InactiveNeighborIsNotRemote) {

@@ -11,12 +11,14 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/session.hpp"
+#include "dist/dist_solver.hpp"
 #include "obs/config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_export.hpp"
@@ -26,6 +28,7 @@
 
 namespace obs = nlh::obs;
 namespace api = nlh::api;
+namespace dist = nlh::dist;
 namespace svc = nlh::svc;
 
 namespace {
@@ -186,6 +189,21 @@ TEST_F(ObsTest, NamedThreadsWithTracingOffAllocateNoEventStorage) {
   EXPECT_EQ(tr.dropped(), 0u);
 }
 
+TEST_F(ObsTest, SessionsWithTracingOffLeaveNoRingsBehind) {
+  // Every pool worker names its ring; a ring that never recorded an event
+  // must leave with its thread, or each distributed session would leave
+  // one ring per worker registered for the rest of the process.
+  auto& tr = obs::tracer::instance();
+  const auto before = tr.thread_names().size();
+  for (int k = 0; k < 8; ++k) {
+    auto opt = small_options("manufactured");
+    opt.mode = api::execution_mode::distributed;
+    api::session s(opt);
+    s.solver().run(2);
+  }
+  EXPECT_EQ(tr.thread_names().size(), before);
+}
+
 TEST_F(ObsTest, RingKeepsCapacityItRegisteredWith) {
   // A ring registered (here: by naming its thread) at capacity 16 keeps it
   // when configure() changes the capacity before its first event.
@@ -291,25 +309,6 @@ TEST_F(ObsTest, HistogramConcurrentRecordSumsAllEvents) {
     });
   for (auto& t : ts) t.join();
   EXPECT_EQ(h.summary().count, 4000u);
-}
-
-// --------------------------------------------------------------- registry --
-
-TEST_F(ObsTest, RegistryFindOrCreateAndSnapshot) {
-  obs::metrics_registry reg;
-  obs::counter& c = reg.get_counter("test/events");
-  EXPECT_EQ(&c, &reg.get_counter("test/events"));  // stable address
-  c.add(3);
-  reg.get_gauge("test/level").set(2.5);
-  reg.get_histogram("test/lat").record(0.01);
-  const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].first, "test/events");
-  EXPECT_EQ(snap.counters[0].second, 3u);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(snap.gauges[0].second, 2.5);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].second.count, 1u);
 }
 
 // ----------------------------------------------------------------- export --
@@ -467,4 +466,104 @@ TEST_F(ObsTest, TracedMixedServiceBatchProducesTimelineAndMetrics) {
   ASSERT_TRUE(obs::write_chrome_trace(path));
   EXPECT_NE(slurp(path).find("svc/job"), std::string::npos);
   std::remove(path.c_str());
+}
+
+// -------------------------------------------------------------- name set --
+
+TEST_F(ObsTest, MetricNameSetIsPinned) {
+  // Every counter, gauge and histogram name a 2-locality distributed
+  // session (auto-rebalance, one checkpoint round trip) and a hibernating
+  // service export, in one sorted list: a rename or a lost instrument shows
+  // up as a diff here. The e2ebench reads its kernel/*, dist/* and
+  // balance/* names from this set.
+  std::set<std::string> names;
+  const auto collect = [&names](const obs::metrics_snapshot& s) {
+    for (const auto& c : s.counters) names.insert(c.first);
+    for (const auto& g : s.gauges) names.insert(g.first);
+    for (const auto& h : s.histograms) names.insert(h.first);
+  };
+  {
+    auto opt = small_options("manufactured");
+    opt.mode = api::execution_mode::distributed;
+    opt.sd_grid = 4;
+    opt.auto_rebalance.enabled = true;
+    opt.auto_rebalance.interval = 2;
+    opt.auto_rebalance.trigger = 0.0;
+    opt.auto_rebalance.cooldown = 0;
+    api::session s(opt);
+    auto& h = s.solver();
+    h.run(4);
+    collect(h.metrics_snapshot());
+    const auto blob = h.export_and_release();
+    h.import_state(blob.bytes);
+    h.run(3);  // no check after the last step: its plan stays compiled
+    collect(h.metrics_snapshot());
+  }
+  {
+    svc::service_options sopt;
+    sopt.pool_threads = 2;
+    sopt.hibernation.enabled = true;
+    sopt.hibernation.resident_cap = 1;
+    svc::service_loop loop(sopt);
+    for (const char* key : {"a", "b", "a"}) {
+      svc::svc_job job;
+      job.options = small_options("manufactured");
+      job.options.mode = api::execution_mode::distributed;
+      job.options.auto_rebalance.enabled = true;
+      job.session_key = key;
+      const auto r = loop.submit("t", svc::qos_class::batch, job).get();
+      ASSERT_TRUE(r.ok) << r.error;
+    }
+    collect(loop.metrics_snapshot());
+  }
+  {
+    // dist/ckpt/* counts the solver's own checkpoint chain; a session's
+    // export drops the solver that took it, so only a bare solver shows it.
+    dist::dist_config cfg;
+    cfg.sd_rows = cfg.sd_cols = 2;
+    const dist::tiling t(2, 2, cfg.sd_size, cfg.epsilon_factor);
+    dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 0, 1, 1}));
+    solver.set_initial_condition();
+    solver.checkpoint();
+    obs::metrics_snapshot snap;
+    solver.metrics_into(snap);
+    collect(snap);
+  }
+  const std::vector<std::string> expected = {
+      "amt/pool#0/busy_fraction", "amt/pool#0/tasks", "amt/pool#1/busy_fraction",
+      "amt/pool#1/tasks", "api/session/comm_wait_seconds", "api/session/dt",
+      "api/session/ghost_bytes", "api/session/is_distributed",
+      "api/session/overlap_early_tasks", "api/session/step_latency_seconds",
+      "api/session/steps", "api/session/wall_seconds", "balance/checks",
+      "balance/epochs", "balance/imbalance_after", "balance/imbalance_before",
+      "balance/moves", "ckpt/bytes_encoded", "ckpt/bytes_on_disk", "ckpt/bytes_raw",
+      "ckpt/compression_ratio", "ckpt/hibernate_seconds", "ckpt/hibernated",
+      "ckpt/hibernates", "ckpt/resident", "ckpt/restore_seconds", "ckpt/restores",
+      "ckpt/sessions", "dist/ckpt/bytes_encoded", "dist/ckpt/bytes_raw",
+      "dist/ckpt/checkpoints", "dist/ckpt/compression_ratio",
+      "dist/ckpt/frames_delta", "dist/ckpt/frames_full", "dist/ghost/bytes",
+      "dist/ghost/message_bytes", "dist/ghost/messages",
+      "dist/overlap/interior_early", "dist/overlap/strips_early",
+      "dist/plan/boundary_sds", "dist/plan/compiles", "dist/plan/local_fills",
+      "dist/plan/messages", "dist/plan/ready_strips", "dist/plan/strips",
+      "dist/step/current", "dist/step/drain_wait_seconds", "dist/step/wait_seconds",
+      "kernel/applies", "kernel/block_rows", "kernel/blocks", "kernel/col_tile",
+      "kernel/dps", "kernel/mdps", "svc/balance/epochs",
+      "svc/balance/imbalance_before", "svc/balance/moves", "svc/batch/completed",
+      "svc/batch/failed", "svc/batch/queue_wait_seconds", "svc/batch/shed",
+      "svc/batch/step_latency_seconds", "svc/batch/submitted",
+      "svc/interactive/completed", "svc/interactive/failed",
+      "svc/interactive/queue_wait_seconds", "svc/interactive/shed",
+      "svc/interactive/step_latency_seconds", "svc/interactive/submitted",
+      "svc/jobs_per_second", "svc/quota/admitted", "svc/quota/delay_seconds",
+      "svc/quota/delayed", "svc/quota/shed", "svc/quota/tenants",
+      "svc/sched/queue_depth/batch", "svc/sched/queue_depth/interactive",
+      "svc/sched/queue_depth/soak", "svc/sched/rounds", "svc/sched/running",
+      "svc/sched/served/batch", "svc/sched/served/interactive",
+      "svc/sched/served/soak", "svc/sched/shed_drained", "svc/sched/shed_expired",
+      "svc/soak/completed", "svc/soak/failed", "svc/soak/queue_wait_seconds",
+      "svc/soak/shed", "svc/soak/step_latency_seconds", "svc/soak/submitted",
+      "svc/tenants", "svc/wall_seconds",
+  };
+  EXPECT_EQ(std::vector<std::string>(names.begin(), names.end()), expected);
 }

@@ -41,7 +41,8 @@ TEST(Multilevel, BisectionOfGridIsBalanced) {
   opt.k = 2;
   const auto p = part::multilevel_partition(g, opt);
   part::validate_partition(g, p, 2);
-  EXPECT_LE(part::balance_factor(g, p, 2), opt.balance_tolerance + 1e-9);
+  EXPECT_LE(part::balance_factor(g, p, 2),
+            part::multilevel_balance_tolerance + 1e-9);
 }
 
 TEST(Multilevel, BeatsRandomOnCut) {
@@ -85,7 +86,8 @@ TEST(Multilevel, WeightedVerticesBalanceByWeight) {
   part::partition_options opt;
   opt.k = 2;
   const auto p = part::multilevel_partition(g, opt);
-  EXPECT_LE(part::balance_factor(g, p, 2), opt.balance_tolerance + 1e-9);
+  EXPECT_LE(part::balance_factor(g, p, 2),
+            part::multilevel_balance_tolerance + 1e-9);
 }
 
 TEST(RefinePartition, ImprovesBadCut) {
@@ -164,7 +166,7 @@ TEST_P(MultilevelSweep, PartitionContractHolds) {
   // Contract 3: balance within tolerance (+1 vertex granularity slack).
   const double ideal = g.total_vwgt() / k;
   const double max_w = *std::max_element(w.begin(), w.end());
-  EXPECT_LE(max_w, ideal * opt.balance_tolerance + 16.0)
+  EXPECT_LE(max_w, ideal * part::multilevel_balance_tolerance + 16.0)
       << rows << "x" << cols << " k=" << k;
 
   // Contract 4: contiguity on grid dual graphs.
