@@ -1,15 +1,16 @@
 ///
 /// \file micro_checkpoint.cpp
 /// \brief google-benchmark microbenchmarks of the src/ckpt/ subsystem —
-/// codec encode/decode throughput on pulse-like and dense frames, the
+/// frame encode/decode throughput on pulse-like and dense frames, the
 /// session hibernate/restore round trip — plus a self-contained guard pass
 /// that writes BENCH_checkpoint.json.
 ///
 /// The guard is the regression fence for the compression claim
-/// (docs/checkpoint.md): on a smooth compact-support pulse field the delta
-/// codec must checkpoint at least `min_smooth_ratio` (3x) smaller than raw,
-/// and 16 persistent tenants of one svc::service_loop under a resident
-/// cap of 4 must actually hold 4x more sessions than the cap. The dense
+/// (docs/checkpoint.md): on a smooth compact-support pulse field the whole
+/// dist_solver::checkpoint() blob, headers included, must be at least
+/// `min_smooth_ratio` (3x) smaller than the raw bytes of the SD interiors
+/// it holds, and 16 persistent tenants of one svc::service_loop under a
+/// resident cap of 4 must actually hold 4x more sessions than the cap. The dense
 /// crack field's ratio is *reported* (full-entropy fields hover near 1x by
 /// design) but never gated.
 /// Hibernate/restore latencies (one session through a one-entry
@@ -81,42 +82,38 @@ std::unique_ptr<ckpt::hibernation_manager> single_tenant_manager(
 
 }  // namespace
 
-static void BM_CkptEncodePulse(benchmark::State& state) {
-  const auto& c = *ckpt::find_codec(state.range(0) == 0 ? "raw" : "delta");
-  const auto vals = pulse_frame(16384);
+/// Encode throughput of one 16k-double frame.
+static void encode_frames(benchmark::State& state, const std::vector<double>& vals) {
   for (auto _ : state) {
     net::archive_writer w;
-    benchmark::DoNotOptimize(c.encode(vals.data(), vals.size(), nullptr, w));
+    ckpt::encode_frame(vals.data(), vals.size(), w);
+    benchmark::DoNotOptimize(w.size());
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(vals.size() * 8));
 }
-BENCHMARK(BM_CkptEncodePulse)->Arg(0)->Arg(1);
+
+static void BM_CkptEncodePulse(benchmark::State& state) {
+  encode_frames(state, pulse_frame(16384));
+}
+BENCHMARK(BM_CkptEncodePulse);
 
 static void BM_CkptEncodeDense(benchmark::State& state) {
-  const auto& c = *ckpt::find_codec(state.range(0) == 0 ? "raw" : "delta");
-  const auto vals = dense_frame(16384);
-  for (auto _ : state) {
-    net::archive_writer w;
-    benchmark::DoNotOptimize(c.encode(vals.data(), vals.size(), nullptr, w));
-    benchmark::ClobberMemory();
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(vals.size() * 8));
+  encode_frames(state, dense_frame(16384));
 }
-BENCHMARK(BM_CkptEncodeDense)->Arg(0)->Arg(1);
+BENCHMARK(BM_CkptEncodeDense);
 
 static void BM_CkptDecodePulse(benchmark::State& state) {
-  const auto& c = ckpt::delta_codec();
   const auto vals = pulse_frame(16384);
   net::archive_writer w;
-  c.encode(vals.data(), vals.size(), nullptr, w);
+  ckpt::encode_frame(vals.data(), vals.size(), w);
   const auto buf = w.take();
   std::vector<double> out(vals.size());
   for (auto _ : state) {
     net::archive_reader r(buf);
-    c.decode(r, out.data(), out.size(), nullptr);
+    ckpt::decode_frame(r, out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -145,17 +142,21 @@ BENCHMARK(BM_CkptHibernateRestore);
 
 namespace {
 
-/// checkpoint_full() size of a 10-step distributed run of `scn` under
-/// `codec_name`, plus the SD count (for bytes/SD reporting).
-std::uint64_t dist_checkpoint_bytes(std::shared_ptr<const api::scenario> scn,
-                                    const std::string& codec_name,
-                                    int* num_sds = nullptr) {
+/// The guard's solver: 4x4 SDs of 16x16 DPs on 2 localities.
+constexpr int kSdGrid = 4;
+constexpr int kSdSize = 16;
+constexpr int kNumSds = kSdGrid * kSdGrid;
+/// Raw bytes of the SD interiors one checkpoint holds: the ratio's numerator.
+constexpr std::uint64_t kRawInteriorBytes =
+    std::uint64_t{kNumSds} * kSdSize * kSdSize * sizeof(double);
+
+/// checkpoint() size of a 4-step distributed run of `scn`.
+std::uint64_t dist_checkpoint_bytes(std::shared_ptr<const api::scenario> scn) {
   dist::dist_config cfg;
-  cfg.sd_rows = cfg.sd_cols = 4;
-  cfg.sd_size = 16;
+  cfg.sd_rows = cfg.sd_cols = kSdGrid;
+  cfg.sd_size = kSdSize;
   cfg.epsilon_factor = 2;
   cfg.threads_per_locality = 1;
-  cfg.checkpoint.codec = codec_name;
   const dist::tiling t(cfg.sd_rows, cfg.sd_cols, cfg.sd_size, cfg.epsilon_factor);
   std::vector<int> owner(static_cast<std::size_t>(t.num_sds()));
   for (int sd = 0; sd < t.num_sds(); ++sd)
@@ -168,8 +169,7 @@ std::uint64_t dist_checkpoint_bytes(std::shared_ptr<const api::scenario> scn,
   // the way a production checkpoint cadence would, instead of letting the
   // bump swallow the domain before the snapshot.
   solver.run(4);
-  if (num_sds) *num_sds = t.num_sds();
-  return solver.checkpoint_full().size();
+  return solver.checkpoint().size();
 }
 
 /// Best-of-reps hibernate and restore latency of a 64x64 serial session.
@@ -203,17 +203,16 @@ bool run_checkpoint_guard(const char* path) {
   // RLE path has honest runs to collapse — this is the gated scenario.
   auto smooth = std::make_shared<api::gaussian_pulse_scenario>(
       0.5, 0.5, 0.05, 1.0, /*support_radius=*/0.12);
-  int num_sds = 0;
-  const auto smooth_raw = dist_checkpoint_bytes(smooth, "raw", &num_sds);
-  const auto smooth_delta = dist_checkpoint_bytes(smooth, "delta");
+  const auto smooth_raw = kRawInteriorBytes;
+  const auto smooth_delta = dist_checkpoint_bytes(smooth);
   const double smooth_ratio =
       static_cast<double>(smooth_raw) / static_cast<double>(smooth_delta);
 
   // Dense crack field: reported for honesty, never gated (full-entropy
   // values have no runs and rarely share a small lattice).
   const auto crack = api::make_scenario("crack");
-  const auto crack_raw = dist_checkpoint_bytes(crack, "raw");
-  const auto crack_delta = dist_checkpoint_bytes(crack, "delta");
+  const auto crack_raw = kRawInteriorBytes;
+  const auto crack_delta = dist_checkpoint_bytes(crack);
   const double crack_ratio =
       static_cast<double>(crack_raw) / static_cast<double>(crack_delta);
 
@@ -250,7 +249,7 @@ bool run_checkpoint_guard(const char* path) {
                           tenants_per_cap >= 4.0;
   const bool pass = ratio_ok && tenants_ok;
 
-  std::printf("\ncheckpoint guard (%d SDs, 16x16 DPs each):\n", num_sds);
+  std::printf("\ncheckpoint guard (%d SDs, 16x16 DPs each):\n", kNumSds);
   std::printf("  smooth pulse  raw %7llu B  delta %7llu B  ratio %5.2fx "
               "(gate >= %.1fx)\n",
               static_cast<unsigned long long>(smooth_raw),
@@ -291,10 +290,10 @@ bool run_checkpoint_guard(const char* path) {
                "  \"tenants_per_cap\": %.1f,\n"
                "  \"pass\": %s\n"
                "}\n",
-               num_sds, static_cast<unsigned long long>(smooth_raw),
+               kNumSds, static_cast<unsigned long long>(smooth_raw),
                static_cast<unsigned long long>(smooth_delta),
-               static_cast<double>(smooth_raw) / num_sds,
-               static_cast<double>(smooth_delta) / num_sds, smooth_ratio,
+               static_cast<double>(smooth_raw) / kNumSds,
+               static_cast<double>(smooth_delta) / kNumSds, smooth_ratio,
                min_smooth_ratio, static_cast<unsigned long long>(crack_raw),
                static_cast<unsigned long long>(crack_delta), crack_ratio,
                hibernate_ms, restore_ms, held, resident_cap, tenants_per_cap,

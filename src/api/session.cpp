@@ -53,9 +53,9 @@ class solver_impl {
   /// Append the solver's own instruments to a metrics snapshot: kernel/*
   /// for both; the distributed solver adds dist/*, amt/* and balance/*.
   virtual void metrics_into(obs::metrics_snapshot& snap) const = 0;
-  /// Serialize the full solver state (self-contained, self-describing,
-  /// delta-coded frames) into `w`; returns the raw pre-codec payload bytes
-  /// (the compression-ratio denominator). import_state() on a freshly
+  /// Serialize the full solver state (self-contained, delta-coded frames)
+  /// into `w`; returns the raw pre-codec payload bytes (the
+  /// compression-ratio denominator). import_state() on a freshly
   /// constructed impl of the same options must rebuild bitwise-identical
   /// state — the hibernate→restore guarantee (docs/checkpoint.md).
   virtual std::uint64_t export_state(net::archive_writer& w) = 0;
@@ -94,23 +94,20 @@ class serial_impl final : public solver_impl {
   }
 
   std::uint64_t export_state(net::archive_writer& w) override {
-    const ckpt::codec& c = ckpt::delta_codec();
     w.write(static_cast<std::uint8_t>('S'));
     w.write(static_cast<std::int64_t>(steps_));
-    w.write(c.name());
     const auto& u = solver_.field();  // padded layout
     w.write(static_cast<std::uint64_t>(u.size()));
-    return c.encode(u.data(), u.size(), nullptr, w).raw_bytes;
+    ckpt::encode_frame(u.data(), u.size(), w);
+    return u.size() * sizeof(double);
   }
 
   void import_state(net::archive_reader& r) override {
     NLH_ASSERT_MSG(r.read<std::uint8_t>() == 'S',
                    "serial_impl::import_state: wrong state tag");
     steps_ = static_cast<int>(r.read<std::int64_t>());
-    const ckpt::codec* c = ckpt::find_codec(r.read_string());
-    NLH_ASSERT_MSG(c != nullptr, "serial_impl::import_state: unknown codec");
     std::vector<double> u(static_cast<std::size_t>(r.read<std::uint64_t>()));
-    c->decode(r, u.data(), u.size(), nullptr);
+    ckpt::decode_frame(r, u.data(), u.size());
     solver_.set_field(std::move(u));
   }
 
@@ -165,11 +162,8 @@ class dist_impl final : public solver_impl {
   }
 
   std::uint64_t export_state(net::archive_writer& w) override {
-    // The distributed snapshot rides the solver's own checkpoint path
-    // (dist_config::checkpoint's default codec, delta); the blob is
-    // self-describing.
     w.write(static_cast<std::uint8_t>('D'));
-    w.write(solver_.checkpoint_full());
+    w.write(solver_.checkpoint());
     const auto& t = solver_.sd_tiling();
     return static_cast<std::uint64_t>(t.num_sds()) * t.sd_size() * t.sd_size() *
            sizeof(double);

@@ -54,11 +54,14 @@ balance_report balance_step(const dist::tiling& t, dist::ownership_map& own,
       // imbalance); lending: prefer the most under-loaded (highest).
       return imb_i > 0 ? ia < ib : ia > ib;
     });
+    // Eq. 9 (imbalance = expected - owned): a child that lends to i owns
+    // fewer SDs afterwards, so its imbalance rises by the share, and one
+    // that borrows from i needs that much less from its own children.
     const double share = imb_i / static_cast<double>(L);
     int remaining = total;
     for (std::size_t ki = 0; ki < kids.size(); ++ki) {
       const int m = kids[ki];
-      imb[static_cast<std::size_t>(m)] -= share;
+      imb[static_cast<std::size_t>(m)] += share;
       const int n = (total / L) + (static_cast<int>(ki) < total % L ? 1 : 0);
       const int want = std::min({n, remaining, budget_left()});
       if (want <= 0) continue;

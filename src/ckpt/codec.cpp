@@ -49,7 +49,8 @@ std::uint64_t read_varint(net::archive_reader& r) {
   std::uint64_t v = 0;
   for (int shift = 0; shift < 70; shift += 7) {
     const std::uint8_t b = r.read_byte();
-    NLH_ASSERT_MSG(shift < 64, "ckpt: varint too long");
+    // The 10th byte (shift 63) carries bit 63 only.
+    NLH_ASSERT_MSG(shift < 63 || b <= 1, "ckpt: varint too long");
     v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
     if (!(b & 0x80)) return v;
   }
@@ -118,194 +119,90 @@ using detail::unzigzag;
 using detail::write_varint;
 using detail::zigzag;
 
-class raw_codec_impl final : public codec {
- public:
-  std::string name() const override { return "raw"; }
-
-  frame_stats encode(const double* vals, std::size_t n, const double* /*prev*/,
-                     net::archive_writer& w) const override {
-    const auto before = w.size();
-    w.write_byte('r');
-    w.write_raw(vals, n * sizeof(double));
-    return {n * sizeof(double), w.size() - before, 'r'};
-  }
-
-  void decode(net::archive_reader& r, double* out, std::size_t n,
-              const double* /*prev*/) const override {
-    const auto mode = r.read_byte();
-    NLH_ASSERT_MSG(mode == 'r', "ckpt: raw codec frame expected");
-    r.read_raw(out, n * sizeof(double));
-  }
-};
-
 /// One encoded group of the delta stream: ctrl = (count << 1) | zero_flag.
 /// zero_flag set → `count` zero deltas and nothing else; clear → `count`
 /// literal zigzag varints follow.
 constexpr std::size_t kMinZeroRun = 2;  // below this a literal is no larger
 
-class delta_codec_impl final : public codec {
- public:
-  std::string name() const override { return "delta"; }
-
-  frame_stats encode(const double* vals, std::size_t n, const double* prev,
-                     net::archive_writer& w) const override {
-    const auto before = w.size();
-
-    // Pick the key space: the fixed-point lattice when the frame (and the
-    // baseline, which the decoder must be able to quantize with the same
-    // scale) sits on one exactly, else order-preserving IEEE bit keys.
-    std::vector<std::int64_t> q;
-    int scale = 0;
-    bool fixed = detail::fixed_point_lattice(vals, n, q, scale);
-    std::vector<std::int64_t> qprev;
-    if (fixed && prev) {
-      int pscale = 0;
-      std::vector<std::int64_t> tmp;
-      fixed = detail::fixed_point_lattice(prev, n, tmp, pscale) &&
-              merge_lattices(q, scale, tmp, pscale);
-      if (fixed) qprev = std::move(tmp);
-    }
-
-    std::vector<std::uint64_t> keys(n);
-    if (fixed) {
-      w.write_byte('f');
-      write_varint(w, zigzag(static_cast<std::uint64_t>(
-                          static_cast<std::int64_t>(scale))));
-      for (std::size_t i = 0; i < n; ++i) keys[i] = static_cast<std::uint64_t>(q[i]);
-    } else {
-      w.write_byte('b');
-      for (std::size_t i = 0; i < n; ++i) keys[i] = ieee_key(vals[i]);
-    }
-
-    // Predict: baseline keys for incremental frames, the previous element
-    // (seeded with key-of-zero so leading quiescent stretches run-length
-    // away) for self-contained ones. All arithmetic wraps mod 2^64.
-    std::vector<std::uint64_t> z(n);
-    std::uint64_t pred = fixed ? 0 : ieee_key(0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t p =
-          prev ? (fixed ? static_cast<std::uint64_t>(qprev[i]) : ieee_key(prev[i]))
-               : pred;
-      z[i] = zigzag(keys[i] - p);
-      pred = keys[i];
-    }
-
-    // Group emission: zero runs of length >= kMinZeroRun become a single
-    // ctrl varint; everything between them a literal group.
-    std::size_t lit_begin = 0;
-    std::size_t i = 0;
-    while (i < n) {
-      if (z[i] == 0) {
-        std::size_t j = i;
-        while (j < n && z[j] == 0) ++j;
-        if (j - i >= kMinZeroRun) {
-          flush_literals(w, z, lit_begin, i);
-          write_varint(w, (static_cast<std::uint64_t>(j - i) << 1) | 1);
-          lit_begin = j;
-        }
-        i = j;
-      } else {
-        ++i;
-      }
-    }
-    flush_literals(w, z, lit_begin, n);
-
-    return {n * sizeof(double), w.size() - before, fixed ? 'f' : 'b'};
-  }
-
-  void decode(net::archive_reader& r, double* out, std::size_t n,
-              const double* prev) const override {
-    const auto mode = r.read_byte();
-    NLH_ASSERT_MSG(mode == 'f' || mode == 'b', "ckpt: delta codec frame expected");
-    const bool fixed = mode == 'f';
-    int scale = 0;
-    if (fixed)
-      scale = static_cast<int>(
-          static_cast<std::int64_t>(unzigzag(read_varint(r))));
-
-    std::uint64_t pred = fixed ? 0 : ieee_key(0.0);
-    std::size_t i = 0;
-    while (i < n) {
-      const std::uint64_t ctrl = read_varint(r);
-      std::uint64_t count = ctrl >> 1;
-      NLH_ASSERT_MSG(count >= 1 && count <= n - i, "ckpt: frame group overruns");
-      const bool zeros = ctrl & 1;
-      for (; count; --count, ++i) {
-        const std::uint64_t delta = zeros ? 0 : unzigzag(read_varint(r));
-        const std::uint64_t p =
-            prev ? (fixed ? quantize(prev[i], scale) : ieee_key(prev[i])) : pred;
-        const std::uint64_t key = p + delta;
-        out[i] = fixed ? std::ldexp(static_cast<double>(
-                                        static_cast<std::int64_t>(key)),
-                                    scale)
-                       : ieee_unkey(key);
-        pred = key;
-      }
-    }
-  }
-
- private:
-  /// Rescale both integer arrays onto the finer of the two lattices; false
-  /// when the rescale would overflow the 2^62 budget.
-  static bool merge_lattices(std::vector<std::int64_t>& a, int& as,
-                             std::vector<std::int64_t>& b, int bs) {
-    const int common = std::min(as, bs);
-    if (!rescale(a, as - common) || !rescale(b, bs - common)) return false;
-    as = common;
-    return true;
-  }
-
-  static bool rescale(std::vector<std::int64_t>& q, int shift) {
-    if (shift == 0) return true;
-    if (shift >= 62) return std::all_of(q.begin(), q.end(),
-                                        [](std::int64_t v) { return v == 0; });
-    const std::int64_t lim = std::int64_t{1} << (62 - shift);
-    for (auto& v : q) {
-      if (v >= lim || v <= -lim) return false;
-      v *= std::int64_t{1} << shift;  // v may be negative: no left shift
-    }
-    return true;
-  }
-
-  /// Baseline value -> lattice coordinate; exact by the encoder's merged
-  /// lattice check. The scale is read from the frame, so a frame whose
-  /// scale puts the baseline off its lattice or past the 2^62 budget aborts
-  /// here rather than cast an out-of-range double.
-  static std::uint64_t quantize(double v, int scale) {
-    const double q = std::ldexp(v, -scale);
-    NLH_ASSERT_MSG(std::abs(q) < 0x1p62 &&
-                       static_cast<double>(static_cast<std::int64_t>(q)) == q,
-                   "ckpt: delta frame scale does not fit its baseline");
-    return static_cast<std::uint64_t>(static_cast<std::int64_t>(q));
-  }
-
-  static void flush_literals(net::archive_writer& w,
-                             const std::vector<std::uint64_t>& z,
-                             std::size_t begin, std::size_t end) {
-    if (begin == end) return;
-    write_varint(w, static_cast<std::uint64_t>(end - begin) << 1);
-    for (std::size_t k = begin; k < end; ++k) write_varint(w, z[k]);
-  }
-};
+void flush_literals(net::archive_writer& w, const std::vector<std::uint64_t>& z,
+                    std::size_t begin, std::size_t end) {
+  if (begin == end) return;
+  write_varint(w, static_cast<std::uint64_t>(end - begin) << 1);
+  for (std::size_t k = begin; k < end; ++k) write_varint(w, z[k]);
+}
 
 }  // namespace
 
-const codec& raw_codec() {
-  static const raw_codec_impl c;
-  return c;
+void encode_frame(const double* vals, std::size_t n, net::archive_writer& w) {
+  // Pick the key space: the fixed-point lattice when the frame sits on one
+  // exactly, else order-preserving IEEE bit keys.
+  std::vector<std::int64_t> q;
+  int scale = 0;
+  const bool fixed = detail::fixed_point_lattice(vals, n, q, scale);
+  if (fixed) {
+    w.write_byte('f');
+    write_varint(w, zigzag(static_cast<std::uint64_t>(
+                        static_cast<std::int64_t>(scale))));
+  } else {
+    w.write_byte('b');
+  }
+
+  // Predict each key from the previous element, seeded with key-of-zero so
+  // leading quiescent stretches run-length away. All arithmetic wraps mod
+  // 2^64.
+  std::vector<std::uint64_t> z(n);
+  std::uint64_t pred = fixed ? 0 : ieee_key(0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t key =
+        fixed ? static_cast<std::uint64_t>(q[i]) : ieee_key(vals[i]);
+    z[i] = zigzag(key - pred);
+    pred = key;
+  }
+
+  // Group emission: zero runs of length >= kMinZeroRun become a single
+  // ctrl varint; everything between them a literal group.
+  std::size_t lit_begin = 0;
+  std::size_t i = 0;
+  while (i < n) {
+    if (z[i] == 0) {
+      std::size_t j = i;
+      while (j < n && z[j] == 0) ++j;
+      if (j - i >= kMinZeroRun) {
+        flush_literals(w, z, lit_begin, i);
+        write_varint(w, (static_cast<std::uint64_t>(j - i) << 1) | 1);
+        lit_begin = j;
+      }
+      i = j;
+    } else {
+      ++i;
+    }
+  }
+  flush_literals(w, z, lit_begin, n);
 }
 
-const codec& delta_codec() {
-  static const delta_codec_impl c;
-  return c;
-}
+void decode_frame(net::archive_reader& r, double* out, std::size_t n) {
+  const auto mode = r.read_byte();
+  NLH_ASSERT_MSG(mode == 'f' || mode == 'b', "ckpt: delta codec frame expected");
+  const bool fixed = mode == 'f';
+  int scale = 0;
+  if (fixed)
+    scale = static_cast<int>(static_cast<std::int64_t>(unzigzag(read_varint(r))));
 
-const codec* find_codec(const std::string& name) {
-  if (name == "raw") return &raw_codec();
-  if (name == "delta") return &delta_codec();
-  return nullptr;
+  std::uint64_t pred = fixed ? 0 : ieee_key(0.0);
+  std::size_t i = 0;
+  while (i < n) {
+    const std::uint64_t ctrl = read_varint(r);
+    std::uint64_t count = ctrl >> 1;
+    NLH_ASSERT_MSG(count >= 1 && count <= n - i, "ckpt: frame group overruns");
+    const bool zeros = ctrl & 1;
+    for (; count; --count, ++i) {
+      const std::uint64_t key = pred + (zeros ? 0 : unzigzag(read_varint(r)));
+      out[i] = fixed ? std::ldexp(static_cast<double>(static_cast<std::int64_t>(key)),
+                                  scale)
+                     : ieee_unkey(key);
+      pred = key;
+    }
+  }
 }
-
-std::vector<std::string> codec_names() { return {"delta", "raw"}; }
 
 }  // namespace nlh::ckpt

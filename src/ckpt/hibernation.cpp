@@ -35,8 +35,7 @@ hibernation_manager::hibernation_manager(hibernation_options opt)
       restore_s_(obs::histogram_options{1e-7, 1e2, 8}) {
   const auto err = opt_.validate();
   NLH_ASSERT_MSG(err.empty(), "hibernation_manager: invalid options");
-  store_ = std::make_unique<checkpoint_store>(scratch_directory(),
-                                              /*purge_on_close=*/true);
+  store_ = std::make_unique<checkpoint_store>(scratch_directory());
 }
 
 hibernation_manager::~hibernation_manager() = default;

@@ -98,7 +98,6 @@ class hibernation_manager {
   std::size_t hibernated_count() const;
 
   const hibernation_options& options() const { return opt_; }
-  checkpoint_store& store() { return *store_; }
 
   /// Lifetime totals for programmatic checks (bench gate, example summary).
   struct stats {

@@ -20,15 +20,18 @@ bool flat_key(const std::string& key) {
 
 }  // namespace
 
-checkpoint_store::checkpoint_store(fs::path directory, bool purge_on_close)
-    : dir_(std::move(directory)), purge_on_close_(purge_on_close) {
+checkpoint_store::checkpoint_store(fs::path directory)
+    : dir_(std::move(directory)) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
   NLH_ASSERT_MSG(!ec && fs::is_directory(dir_), "checkpoint_store: cannot create directory");
 }
 
 checkpoint_store::~checkpoint_store() {
-  if (purge_on_close_) clear();
+  for (const auto& [key, size] : entries_) {
+    std::error_code ec;
+    fs::remove(blob_path(key), ec);
+  }
 }
 
 fs::path checkpoint_store::blob_path(const std::string& key) const {
@@ -86,12 +89,6 @@ void checkpoint_store::get(const std::string& key, net::byte_buffer& out) const 
   std::fclose(f);
 }
 
-bool checkpoint_store::contains(const std::string& key) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const auto& e) { return e.first == key; });
-}
-
 bool checkpoint_store::erase(const std::string& key) {
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -103,34 +100,6 @@ bool checkpoint_store::erase(const std::string& key) {
   std::error_code ec;
   fs::remove(blob_path(key), ec);
   return true;
-}
-
-void checkpoint_store::clear() {
-  std::vector<std::pair<std::string, std::uint64_t>> doomed;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    doomed.swap(entries_);
-  }
-  for (const auto& [key, size] : doomed) {
-    std::error_code ec;
-    fs::remove(blob_path(key), ec);
-  }
-}
-
-std::vector<std::string> checkpoint_store::keys() const {
-  std::vector<std::string> out;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    out.reserve(entries_.size());
-    for (const auto& [key, size] : entries_) out.push_back(key);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::size_t checkpoint_store::size() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return entries_.size();
 }
 
 std::uint64_t checkpoint_store::bytes_on_disk() const {

@@ -11,9 +11,9 @@
 /// warm, a hibernate/restore cycle allocates nothing on the byte-buffer
 /// side — the NVMSorting pooled-partition shape applied to session state.
 ///
-/// Thread-safe; keys are flat names (no path separators). Files are
-/// removed on erase()/clear() and, for stores created with
-/// purge_on_close, on destruction.
+/// Thread-safe; keys are flat names (no path separators). Blobs are
+/// scratch state: erase() removes one, and destruction removes every blob
+/// still stored.
 ///
 
 #include <cstdint>
@@ -29,10 +29,7 @@ namespace nlh::ckpt {
 class checkpoint_store {
  public:
   /// Opens (creating if needed) `directory` as the blob root.
-  /// `purge_on_close` deletes every blob this store wrote when it is
-  /// destroyed — the hibernation default, where blobs are scratch state.
-  explicit checkpoint_store(std::filesystem::path directory,
-                            bool purge_on_close = true);
+  explicit checkpoint_store(std::filesystem::path directory);
   ~checkpoint_store();
 
   checkpoint_store(const checkpoint_store&) = delete;
@@ -43,26 +40,14 @@ class checkpoint_store {
   void put(const std::string& key, net::byte_buffer bytes);
 
   /// Read the blob for `key` into `out` (capacity reused). Asserts the
-  /// key exists — callers track membership via contains().
+  /// key exists — callers track membership themselves.
   void get(const std::string& key, net::byte_buffer& out) const;
-
-  bool contains(const std::string& key) const;
 
   /// Drop the blob for `key`; false when absent.
   bool erase(const std::string& key);
 
-  /// Remove every blob this store wrote.
-  void clear();
-
-  /// Sorted keys of the stored blobs.
-  std::vector<std::string> keys() const;
-
-  std::size_t size() const;
-
   /// Sum of stored blob sizes in bytes (as written, i.e. encoded).
   std::uint64_t bytes_on_disk() const;
-
-  const std::filesystem::path& directory() const { return dir_; }
 
   /// Recirculating buffer pool: feed acquire_buffer() into
   /// `archive_writer(reuse)` (or use as a get() target), hand the storage
@@ -74,7 +59,6 @@ class checkpoint_store {
   std::filesystem::path blob_path(const std::string& key) const;
 
   std::filesystem::path dir_;
-  bool purge_on_close_;
 
   mutable std::mutex mu_;
   // key -> encoded size, the authoritative membership map (bytes_on_disk

@@ -16,6 +16,7 @@
 
 #include "amt/async.hpp"
 #include "balance/auto_rebalancer.hpp"
+#include "ckpt/codec.hpp"
 #include "net/serializer.hpp"
 #include "nonlocal/nonlocal_operator.hpp"
 #include "obs/tracer.hpp"
@@ -100,14 +101,6 @@ std::vector<std::string> validate(const dist_config& cfg) {
   for (auto& e : balance::validate_rebalance_policy(cfg.rebalance,
                                                     "dist_config.rebalance."))
     errs.push_back(std::move(e));
-  if (ckpt::find_codec(cfg.checkpoint.codec) == nullptr) {
-    std::ostringstream m;
-    m << "dist_config.checkpoint.codec: unknown codec '" << cfg.checkpoint.codec
-      << "' (have:";
-    for (const auto& n : ckpt::codec_names()) m << " " << n;
-    m << ")";
-    err(m);
-  }
   return errs;
 }
 
@@ -254,18 +247,6 @@ void dist_solver::metrics_into(obs::metrics_snapshot& snap) const {
                    static_cast<double>(plan_.total_local_fills));
     snap.add_gauge("dist/plan/boundary_sds",
                    static_cast<double>(plan_.boundary_sds));
-  }
-  if (ckpt_checkpoints_ > 0) {
-    snap.add_counter("dist/ckpt/checkpoints", ckpt_checkpoints_);
-    snap.add_counter("dist/ckpt/bytes_raw", ckpt_bytes_raw_);
-    snap.add_counter("dist/ckpt/bytes_encoded", ckpt_bytes_encoded_);
-    snap.add_counter("dist/ckpt/frames_full", ckpt_frames_full_);
-    snap.add_counter("dist/ckpt/frames_delta", ckpt_frames_delta_);
-    snap.add_gauge("dist/ckpt/compression_ratio",
-                   ckpt_bytes_encoded_
-                       ? static_cast<double>(ckpt_bytes_raw_) /
-                             static_cast<double>(ckpt_bytes_encoded_)
-                       : 0.0);
   }
   if (rebalancer_) {
     const auto& rs = rebalancer_->stats();
@@ -554,63 +535,22 @@ void dist_solver::migrate_sd(int sd, int to_node) {
 
 namespace {
 
-/// Snapshot header magic ("NLK1"): rejects the PR-7-era raw format and
-/// arbitrary byte garbage before any frame decoding starts.
-constexpr std::uint32_t kCkptMagic = 0x4e4c4b31;
+/// Snapshot header magic ("NLK2"): rejects earlier layouts and arbitrary
+/// byte garbage before any frame decoding starts.
+constexpr std::uint32_t kCkptMagic = 0x4e4c4b32;
 
 }  // namespace
 
-net::byte_buffer dist_solver::checkpoint() { return encode_checkpoint(true); }
-
-net::byte_buffer dist_solver::checkpoint_full() { return encode_checkpoint(false); }
-
-net::byte_buffer dist_solver::encode_checkpoint(bool chain) {
+net::byte_buffer dist_solver::checkpoint() const {
   NLH_TRACE_SPAN("dist/checkpoint");
-  const ckpt::codec* codec = ckpt::find_codec(cfg_.checkpoint.codec);
-  NLH_ASSERT_MSG(codec != nullptr, "dist_solver: unknown checkpoint codec");
-
-  // A delta blob needs a baseline to diff against; the chain's first
-  // checkpoint (and every checkpoint_full()) is full.
-  const bool delta_kind = chain && ckpt_baseline_.has_value();
-  const std::uint64_t seq = ckpt_seq_++;
-
   net::archive_writer w;
   w.write(kCkptMagic);
-  w.write(static_cast<std::uint8_t>(delta_kind ? 'I' : 'F'));
-  w.write(codec->name());
-  w.write(seq);
-  if (delta_kind) w.write(ckpt_baseline_->seq);
   w.write(static_cast<std::int64_t>(step_));
   w.write(own_.raw());
-
-  ckpt_baseline next_baseline;
-  if (chain && !delta_kind) {
-    next_baseline.seq = seq;
-    next_baseline.interiors.resize(static_cast<std::size_t>(tiling_.num_sds()));
-    next_baseline.epochs = migration_epoch_;
+  for (const auto& blk : blocks_) {
+    const auto vals = blk->interior();
+    ckpt::encode_frame(vals.data(), vals.size(), w);
   }
-
-  for (int sd = 0; sd < tiling_.num_sds(); ++sd) {
-    const auto i = static_cast<std::size_t>(sd);
-    std::vector<double> vals = blocks_[i]->interior();
-    // Per-SD fallback: an SD that migrated since the baseline was anchored
-    // gets a full frame (real deployments lose the baseline copy with the
-    // move); everything else diffs against the anchor.
-    const bool delta_frame =
-        delta_kind && migration_epoch_[i] == ckpt_baseline_->epochs[i];
-    w.write(static_cast<std::uint8_t>(delta_frame ? 'D' : 'F'));
-    w.write(migration_epoch_[i]);
-    const auto st = codec->encode(
-        vals.data(), vals.size(),
-        delta_frame ? ckpt_baseline_->interiors[i].data() : nullptr, w);
-    ckpt_bytes_raw_ += st.raw_bytes;
-    ckpt_bytes_encoded_ += st.encoded_bytes;
-    (delta_frame ? ckpt_frames_delta_ : ckpt_frames_full_) += 1;
-    if (chain && !delta_kind) next_baseline.interiors[i] = std::move(vals);
-  }
-  ++ckpt_checkpoints_;
-
-  if (chain && !delta_kind) ckpt_baseline_ = std::move(next_baseline);
   return w.take();
 }
 
@@ -619,17 +559,6 @@ void dist_solver::restore(const net::byte_buffer& state) {
   net::archive_reader r(state);
   NLH_ASSERT_MSG(r.read<std::uint32_t>() == kCkptMagic,
                  "dist_solver::restore: not a checkpoint blob");
-  const auto kind = r.read<std::uint8_t>();
-  NLH_ASSERT_MSG(kind == 'F' || kind == 'I',
-                 "dist_solver::restore: unknown snapshot kind");
-  const ckpt::codec* codec = ckpt::find_codec(r.read_string());
-  NLH_ASSERT_MSG(codec != nullptr, "dist_solver::restore: unknown codec in blob");
-  const auto seq = r.read<std::uint64_t>();
-  if (kind == 'I') {
-    const auto base_seq = r.read<std::uint64_t>();
-    NLH_ASSERT_MSG(ckpt_baseline_.has_value() && ckpt_baseline_->seq == base_seq,
-                   "dist_solver::restore: delta snapshot without its baseline");
-  }
   step_ = static_cast<int>(r.read<std::int64_t>());
   const auto owners = r.read_vector<int>();
   NLH_ASSERT_MSG(owners.size() == static_cast<std::size_t>(tiling_.num_sds()),
@@ -637,40 +566,15 @@ void dist_solver::restore(const net::byte_buffer& state) {
   for (int sd = 0; sd < tiling_.num_sds(); ++sd)
     own_.set_owner(sd, owners[static_cast<std::size_t>(sd)]);
 
-  const auto n_interior =
-      static_cast<std::size_t>(tiling_.sd_size()) * tiling_.sd_size();
-  std::vector<double> vals(n_interior);
-  ckpt_baseline next_baseline;
-  if (kind == 'F') {
-    next_baseline.seq = seq;
-    next_baseline.interiors.resize(static_cast<std::size_t>(tiling_.num_sds()));
-    next_baseline.epochs = migration_epoch_;
-  }
-  for (int sd = 0; sd < tiling_.num_sds(); ++sd) {
-    const auto i = static_cast<std::size_t>(sd);
-    const auto frame_kind = r.read<std::uint8_t>();
-    NLH_ASSERT_MSG(frame_kind == 'F' || frame_kind == 'D',
-                   "dist_solver::restore: unknown frame kind");
-    r.read<std::uint64_t>();  // encode-time migration epoch, informational
-    const double* prev = nullptr;
-    if (frame_kind == 'D') {
-      NLH_ASSERT_MSG(ckpt_baseline_.has_value(),
-                     "dist_solver::restore: delta frame without a baseline");
-      prev = ckpt_baseline_->interiors[i].data();
-    }
-    codec->decode(r, vals.data(), vals.size(), prev);
-    auto& blk = *blocks_[i];
-    std::fill(blk.u().begin(), blk.u().end(), 0.0);
-    std::fill(blk.u_next().begin(), blk.u_next().end(), 0.0);
-    blk.set_interior(vals);
-    if (kind == 'F') next_baseline.interiors[i] = vals;
+  std::vector<double> vals(static_cast<std::size_t>(tiling_.sd_size()) *
+                           tiling_.sd_size());
+  for (auto& blk : blocks_) {
+    ckpt::decode_frame(r, vals.data(), vals.size());
+    std::fill(blk->u().begin(), blk->u().end(), 0.0);
+    std::fill(blk->u_next().begin(), blk->u_next().end(), 0.0);
+    blk->set_interior(vals);
   }
   NLH_ASSERT_MSG(r.exhausted(), "dist_solver::restore: trailing bytes in snapshot");
-  // Restoring a full snapshot re-anchors the incremental chain on it, the
-  // way taking one does; restoring a delta leaves the baseline standing so
-  // its siblings stay restorable.
-  if (kind == 'F') ckpt_baseline_ = std::move(next_baseline);
-  if (ckpt_seq_ <= seq) ckpt_seq_ = seq + 1;
   plan_dirty_ = true;  // the snapshot may carry a different ownership map
 }
 

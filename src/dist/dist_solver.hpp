@@ -44,7 +44,6 @@
 #include "amt/thread_pool.hpp"
 #include "api/scenario.hpp"
 #include "balance/policy.hpp"
-#include "ckpt/codec.hpp"
 #include "dist/ownership.hpp"
 #include "dist/sd_block.hpp"
 #include "dist/step_plan.hpp"
@@ -88,9 +87,6 @@ struct dist_config {
   /// busy-time imbalance reaches the trigger. Disabled (the default) keeps
   /// the historical static partition.
   balance::rebalance_policy rebalance;
-  /// How checkpoint() encodes snapshots (docs/checkpoint.md): which frame
-  /// codec compresses the per-SD interiors.
-  ckpt::checkpoint_options checkpoint;
 };
 
 /// All validation failures of `cfg`, each naming the offending field
@@ -216,19 +212,13 @@ class dist_solver {
   /// current owner is a no-op (no traffic).
   void migrate_sd(int sd, int to_node);
 
-  /// Snapshot the solver — step counter, ownership, every SD's interior
-  /// field — through the configured frame codec (docs/checkpoint.md), as
-  /// an incremental chain: the first call emits a full snapshot that
-  /// becomes the chain's baseline; later calls emit delta frames against
-  /// it, falling back to a full frame for any SD that migrated since the
-  /// baseline. Every blob in the chain stays restorable while the baseline
-  /// stands (i.e. until a full snapshot is taken or restored); restore()
-  /// asserts the match via sequence numbers.
-  net::byte_buffer checkpoint();
-  /// Self-contained snapshot: every frame full, restorable on any
-  /// identically-configured solver with no baseline — the hibernation/
-  /// export path. Leaves the incremental chain's baseline untouched.
-  net::byte_buffer checkpoint_full();
+  /// Self-contained snapshot of the solver — step counter, ownership and
+  /// every SD's interior as a delta-coded frame (docs/checkpoint.md).
+  /// restore() on any identically-configured solver rebuilds the state
+  /// bitwise.
+  net::byte_buffer checkpoint() const;
+  /// Adopt a checkpoint() blob's step counter, ownership and fields; aborts
+  /// on a blob of another layout, SD count or locality count.
   void restore(const net::byte_buffer& state);
 
  private:
@@ -313,28 +303,6 @@ class dist_solver {
 
   /// Per-SD migration counter mixed into migration tags.
   std::vector<std::uint64_t> migration_epoch_;
-
-  /// Incremental-checkpoint chain state (docs/checkpoint.md): the values
-  /// and per-SD migration epochs of the chain's anchoring full snapshot,
-  /// plus the sequence number restore() uses to reject a delta blob whose
-  /// baseline this solver no longer holds.
-  struct ckpt_baseline {
-    std::uint64_t seq = 0;
-    std::vector<std::vector<double>> interiors;  ///< per SD
-    std::vector<std::uint64_t> epochs;           ///< migration epoch per SD
-  };
-  /// `chain`: checkpoint()'s incremental chain; else checkpoint_full().
-  net::byte_buffer encode_checkpoint(bool chain);
-  std::optional<ckpt_baseline> ckpt_baseline_;
-  std::uint64_t ckpt_seq_ = 0;
-
-  // dist/ckpt/* observables; written only on the (serialized) checkpoint
-  // path, read by metrics_into under the same serialization.
-  std::uint64_t ckpt_checkpoints_ = 0;
-  std::uint64_t ckpt_bytes_raw_ = 0;
-  std::uint64_t ckpt_bytes_encoded_ = 0;
-  std::uint64_t ckpt_frames_full_ = 0;
-  std::uint64_t ckpt_frames_delta_ = 0;
 
   // Overlap observables (see overlap_stats). ghosts_inflight_ counts the
   // current step's messages not yet unpacked; rectangles that finish while

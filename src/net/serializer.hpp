@@ -50,7 +50,7 @@ class archive_writer {
   }
 
   /// Append `n` raw bytes with no length prefix — the escape hatch for
-  /// self-delimiting payloads (the ckpt codecs) that manage their own
+  /// self-delimiting payloads (the ckpt frame codec) that manage their own
   /// framing.
   void write_raw(const void* p, std::size_t n) {
     const auto old = buf_.size();
@@ -58,7 +58,7 @@ class archive_writer {
     if (n) std::memcpy(buf_.data() + old, p, n);
   }
 
-  /// Append a single byte (the varint hot path of the ckpt codecs).
+  /// Append a single byte (the varint hot path of the ckpt frame codec).
   void write_byte(std::uint8_t b) { buf_.push_back(static_cast<std::byte>(b)); }
 
   template <class T>

@@ -1,13 +1,19 @@
-// Checkpoint/restart tests for the distributed solver.
+// Checkpoint/restart tests for the distributed solver, including the
+// rejection of malformed snapshots.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
+#include "ckpt/codec.hpp"
 #include "dist/dist_solver.hpp"
+#include "net/serializer.hpp"
 
 namespace dist = nlh::dist;
+namespace net = nlh::net;
 
 namespace {
 
@@ -83,21 +89,12 @@ TEST(Checkpoint, CapturesMigratedOwnership) {
 
 TEST(Checkpoint, StateIsSelfContainedBytes) {
   const dist::tiling t(2, 2, 8, 2);
-  auto cfg = small_config();
-  cfg.checkpoint.codec = "raw";  // the ablation codec keeps the size class
-  dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 1, 1, 0}));
+  dist::dist_solver solver(small_config(), dist::ownership_map(t, 2, {0, 1, 1, 0}));
   solver.set_initial_condition();
-  const auto state = solver.checkpoint();
-  // 4 SDs x 64 interior doubles plus headers: sanity-check the size class.
-  EXPECT_GT(state.size(), 4u * 64u * 8u);
-  EXPECT_LT(state.size(), 4u * 64u * 8u + 1024u);
-
-  // The default delta codec must come in under raw on this field
-  // (docs/checkpoint.md; the hard ratio gate lives in bench/micro_checkpoint).
-  dist::dist_solver compressed(small_config(),
-                               dist::ownership_map(t, 2, {0, 1, 1, 0}));
-  compressed.set_initial_condition();
-  EXPECT_LT(compressed.checkpoint().size(), state.size());
+  // Headers included, the delta-coded blob must come in under the raw
+  // bytes of the 4 SD interiors of 64 doubles it holds (docs/checkpoint.md;
+  // the hard ratio gate lives in bench/micro_checkpoint).
+  EXPECT_LT(solver.checkpoint().size(), 4u * 64u * 8u);
 }
 
 TEST(Checkpoint, RestoreAfterMigrationRecompilesThePlan) {
@@ -125,4 +122,57 @@ TEST(Checkpoint, RestoreAfterMigrationRecompilesThePlan) {
 
   solver.run(2);
   EXPECT_LT(max_field_diff(solver, restored), 1e-14);
+}
+
+TEST(CheckpointDeathTest, MalformedSnapshotsAbort) {
+  const dist::tiling t(2, 2, 8, 2);
+  dist::dist_solver solver(small_config(), dist::ownership_map(t, 2, {0, 1, 0, 1}));
+  solver.set_initial_condition();
+  solver.run(1);
+  const auto state = solver.checkpoint();
+  const auto restore_into_2x2 = [&t](const net::byte_buffer& blob) {
+    dist::dist_solver s(small_config(), dist::ownership_map(t, 2, {0, 0, 1, 1}));
+    s.restore(blob);
+  };
+  restore_into_2x2(state);  // the well-formed blob restores
+
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(restore_into_2x2(net::byte_buffer(64, std::byte{0x5a})),
+               "not a checkpoint blob");
+
+  // A blob in the earlier "NLK1" layout: kind byte, codec name, sequence
+  // number, then per SD a frame kind and migration epoch before each frame.
+  net::archive_writer old;
+  old.write(std::uint32_t{0x4e4c4b31});
+  old.write(static_cast<std::uint8_t>('F'));
+  old.write(std::string("delta"));
+  old.write(std::uint64_t{0});
+  old.write(std::int64_t{1});
+  old.write(solver.owners().raw());
+  const std::vector<double> zeros(64, 0.0);
+  for (int sd = 0; sd < 4; ++sd) {
+    old.write(static_cast<std::uint8_t>('F'));
+    old.write(std::uint64_t{0});
+    nlh::ckpt::encode_frame(zeros.data(), zeros.size(), old);
+  }
+  EXPECT_DEATH(restore_into_2x2(old.take()), "not a checkpoint blob");
+
+  // A blob of another SD grid.
+  auto wide = small_config();
+  wide.sd_rows = wide.sd_cols = 3;
+  const dist::tiling t3(3, 3, 8, 2);
+  dist::dist_solver nine(wide, dist::ownership_map(t3, 2, {0, 0, 0, 0, 1, 1, 1, 1, 1}));
+  EXPECT_DEATH(restore_into_2x2(nine.checkpoint()), "SD count mismatch");
+
+  // A blob whose owners name a locality this solver lacks.
+  dist::dist_solver three(small_config(), dist::ownership_map(t, 3, {0, 1, 2, 2}));
+  EXPECT_DEATH(restore_into_2x2(three.checkpoint()), "owner out of range");
+
+  auto trailing = state;
+  trailing.push_back(std::byte{0});
+  EXPECT_DEATH(restore_into_2x2(trailing), "trailing bytes");
+
+  auto truncated = state;
+  truncated.pop_back();
+  EXPECT_DEATH(restore_into_2x2(truncated), "underrun");
 }

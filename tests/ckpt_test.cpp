@@ -1,8 +1,7 @@
-// Tests for the src/ckpt/ subsystem (docs/checkpoint.md): frame codecs
-// (bitwise-lossless round trips, incremental frames, compression of sparse
-// change), the checkpoint_store, the LRU hibernation_manager, the
-// dist_solver incremental checkpoint chain, the api-level
-// hibernate -> restore -> run == uninterrupted-run guarantee, and
+// Tests for the src/ckpt/ subsystem (docs/checkpoint.md): the frame codec
+// (bitwise-lossless round trips, compression of zero runs, rejection of
+// malformed frames), the checkpoint_store, the LRU hibernation_manager, the
+// api-level hibernate -> restore -> run == uninterrupted-run guarantee, and
 // svc::service_loop's persistent tenants under an LRU resident cap.
 
 #include <gtest/gtest.h>
@@ -19,12 +18,10 @@
 #include "ckpt/codec.hpp"
 #include "ckpt/hibernation.hpp"
 #include "ckpt/store.hpp"
-#include "dist/dist_solver.hpp"
 #include "svc/service.hpp"
 
 namespace api = nlh::api;
 namespace ckpt = nlh::ckpt;
-namespace dist = nlh::dist;
 namespace net = nlh::net;
 namespace svc = nlh::svc;
 
@@ -71,22 +68,26 @@ std::vector<double> awkward_values() {
   };
 }
 
-std::vector<double> codec_round_trip(const ckpt::codec& c,
-                                     const std::vector<double>& vals,
-                                     const std::vector<double>* prev,
-                                     ckpt::frame_stats* stats = nullptr) {
+/// Encode `vals` as one frame and decode it back; `frame` (optional)
+/// receives the encoded bytes.
+std::vector<double> codec_round_trip(const std::vector<double>& vals,
+                                     net::byte_buffer* frame = nullptr) {
   net::archive_writer w;
-  const auto s = c.encode(vals.data(), vals.size(),
-                          prev ? prev->data() : nullptr, w);
-  if (stats) *stats = s;
-  EXPECT_EQ(s.raw_bytes, vals.size() * sizeof(double));
+  ckpt::encode_frame(vals.data(), vals.size(), w);
   const auto buf = w.take();
-  EXPECT_EQ(s.encoded_bytes, buf.size());
   net::archive_reader r(buf);
   std::vector<double> out(vals.size());
-  c.decode(r, out.data(), out.size(), prev ? prev->data() : nullptr);
-  EXPECT_TRUE(r.exhausted()) << c.name() << ": frame is not self-delimiting";
+  ckpt::decode_frame(r, out.data(), out.size());
+  EXPECT_TRUE(r.exhausted()) << "frame is not self-delimiting";
+  if (frame) *frame = buf;
   return out;
+}
+
+/// Decode `bytes` as one frame of `n` values (the death tests' hostile input).
+void decode_bytes(const net::byte_buffer& bytes, std::size_t n) {
+  net::archive_reader r(bytes);
+  std::vector<double> out(n);
+  ckpt::decode_frame(r, out.data(), out.size());
 }
 
 }  // namespace
@@ -155,46 +156,19 @@ TEST(CkptCodecDetail, FixedPointLatticeAcceptsAndRejects) {
 
 // ---------------------------------------------------------- codec framing --
 
-TEST(CkptCodec, RegistryHasRawAndDelta) {
-  const auto names = ckpt::codec_names();
-  EXPECT_EQ(names, (std::vector<std::string>{"delta", "raw"}));
-  for (const auto& n : names) {
-    ASSERT_NE(ckpt::find_codec(n), nullptr);
-    EXPECT_EQ(ckpt::find_codec(n)->name(), n);
-  }
-  EXPECT_EQ(ckpt::find_codec("zstd"), nullptr);
-}
-
 TEST(CkptCodec, EveryCodecRoundTripsAwkwardValuesBitwise) {
   const auto vals = awkward_values();
-  for (const auto& name : ckpt::codec_names()) {
-    const auto& c = *ckpt::find_codec(name);
-    EXPECT_TRUE(same_bits(codec_round_trip(c, vals, nullptr), vals))
-        << name << " (self-contained)";
-    // Incremental frame against a baseline of the same awkward values,
-    // shifted by one so most entries actually differ.
-    auto prev = vals;
-    std::rotate(prev.begin(), prev.begin() + 1, prev.end());
-    EXPECT_TRUE(same_bits(codec_round_trip(c, vals, &prev), vals))
-        << name << " (vs baseline)";
-  }
+  EXPECT_TRUE(same_bits(codec_round_trip(vals), vals));
 }
 
 TEST(CkptCodec, EveryCodecRoundTripsRandomFramesBitwise) {
   std::mt19937_64 rng(42);
   std::uniform_real_distribution<double> uni(-1e6, 1e6);
-  for (const auto& name : ckpt::codec_names()) {
-    const auto& c = *ckpt::find_codec(name);
-    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                                std::size_t{1000}}) {
-      std::vector<double> vals(n), prev(n);
-      for (auto& v : vals) v = uni(rng);
-      for (auto& v : prev) v = uni(rng);
-      EXPECT_TRUE(same_bits(codec_round_trip(c, vals, nullptr), vals))
-          << name << " n=" << n;
-      EXPECT_TRUE(same_bits(codec_round_trip(c, vals, &prev), vals))
-          << name << " n=" << n << " (vs baseline)";
-    }
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                              std::size_t{1000}}) {
+    std::vector<double> vals(n);
+    for (auto& v : vals) v = uni(rng);
+    EXPECT_TRUE(same_bits(codec_round_trip(vals), vals)) << "n=" << n;
   }
 }
 
@@ -204,107 +178,106 @@ TEST(CkptCodec, DeltaUsesLatticeModeOnGridValues) {
   std::vector<double> vals(256);
   for (std::size_t i = 0; i < vals.size(); ++i)
     vals[i] = static_cast<double>(static_cast<int>(i) - 100) * 0.125;
-  ckpt::frame_stats s;
-  EXPECT_TRUE(same_bits(codec_round_trip(ckpt::delta_codec(), vals, nullptr, &s),
-                        vals));
-  EXPECT_EQ(s.mode, 'f');
+  net::byte_buffer frame;
+  EXPECT_TRUE(same_bits(codec_round_trip(vals, &frame), vals));
+  EXPECT_EQ(static_cast<char>(frame.at(0)), 'f');
 
   // A NaN anywhere forces the IEEE-key fallback; still bitwise.
   vals[13] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_TRUE(same_bits(codec_round_trip(ckpt::delta_codec(), vals, nullptr, &s),
-                        vals));
-  EXPECT_EQ(s.mode, 'b');
+  EXPECT_TRUE(same_bits(codec_round_trip(vals, &frame), vals));
+  EXPECT_EQ(static_cast<char>(frame.at(0)), 'b');
 }
 
 TEST(CkptCodec, DeltaCompressesZeroRunsAndSparseChange) {
-  // Self-contained frame, mostly exact zeros: the RLE fast path must beat
-  // raw by a wide margin (this is the compact-support far field).
+  // Mostly exact zeros: the RLE fast path must beat the raw doubles by a
+  // wide margin (this is the compact-support far field).
   std::vector<double> vals(4096, 0.0);
   for (std::size_t i = 2000; i < 2032; ++i)
     vals[i] = static_cast<double>(i) * 0.25;
-  ckpt::frame_stats s;
-  EXPECT_TRUE(same_bits(codec_round_trip(ckpt::delta_codec(), vals, nullptr, &s),
-                        vals));
-  EXPECT_LT(s.encoded_bytes * 8, s.raw_bytes);  // > 8x on 99% zeros
-
-  // Incremental frame where only a few entries moved since the baseline:
-  // unchanged stretches are zero deltas and RLE away.
-  std::mt19937_64 rng(7);
-  std::uniform_real_distribution<double> uni(-1.0, 1.0);
-  std::vector<double> prev(4096);
-  for (auto& v : prev) v = uni(rng);
-  auto next = prev;
-  for (std::size_t i = 100; i < 110; ++i) next[i] += 0.5;
-  EXPECT_TRUE(same_bits(codec_round_trip(ckpt::delta_codec(), next, &prev, &s),
-                        next));
-  EXPECT_LT(s.encoded_bytes * 8, s.raw_bytes);
+  net::byte_buffer frame;
+  EXPECT_TRUE(same_bits(codec_round_trip(vals, &frame), vals));
+  EXPECT_LT(frame.size() * 8, vals.size() * sizeof(double));  // > 8x on 99% zeros
 }
 
-TEST(CkptCodec, RawIsExactlyPayloadPlusHeader) {
-  std::vector<double> vals(100, 3.14);
-  ckpt::frame_stats s;
-  codec_round_trip(ckpt::raw_codec(), vals, nullptr, &s);
-  EXPECT_EQ(s.mode, 'r');
-  EXPECT_GE(s.encoded_bytes, vals.size() * sizeof(double));
-  EXPECT_LE(s.encoded_bytes, vals.size() * sizeof(double) + 16);
-}
-
-TEST(CkptCodecDeathTest, DeltaFrameScaleThatMissesTheBaselineAborts) {
-  // An incremental lattice frame of four zero deltas: the decoder rebuilds
-  // each value from the baseline quantized with the frame's scale, which a
-  // hostile frame picks freely.
+TEST(CkptCodecDeathTest, MalformedFramesAbort) {
   using namespace ckpt::detail;
-  const std::vector<double> prev{1.0, 0.5, 3.0, -2.0};
-  auto decode_with_scale = [&prev](std::int64_t scale) {
+  // A frame is a mode byte, the lattice scale for 'f', then groups of
+  // ctrl = (count << 1) | zero_flag.
+  const auto frame = [](std::initializer_list<std::uint64_t> varints,
+                        char mode = 'b') {
     net::archive_writer w;
-    w.write_byte('f');
-    write_varint(w, zigzag(static_cast<std::uint64_t>(scale)));
-    write_varint(w, (std::uint64_t{4} << 1) | 1);  // one run of 4 zero deltas
-    const auto buf = w.take();
-    net::archive_reader r(buf);
-    std::vector<double> out(prev.size());
-    ckpt::delta_codec().decode(r, out.data(), out.size(), prev.data());
-    return out;
+    w.write_byte(static_cast<std::uint8_t>(mode));
+    for (const auto v : varints) write_varint(w, v);
+    return w.take();
   };
-  EXPECT_TRUE(same_bits(decode_with_scale(-1), prev));  // the encoder's lattice
+  decode_bytes(frame({(std::uint64_t{4} << 1) | 1}), 4);  // 4 zero deltas: valid
 
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  // 2^200 lattice steps per unit: far past the 2^62 budget (an out-of-range
-  // double -> int64 cast without the check).
-  EXPECT_DEATH(decode_with_scale(-200), "scale does not fit its baseline");
-  // Unit lattice: 0.5 is off it.
-  EXPECT_DEATH(decode_with_scale(0), "scale does not fit its baseline");
+  // 'r' (raw) is no mode of this codec.
+  EXPECT_DEATH(decode_bytes(frame({(std::uint64_t{4} << 1) | 1}, 'r'), 4),
+               "delta codec frame expected");
+  // A group of count 0 (literal and zero-run forms) would never advance.
+  EXPECT_DEATH(decode_bytes(frame({0}), 4), "frame group overruns");
+  EXPECT_DEATH(decode_bytes(frame({1}), 4), "frame group overruns");
+  // A group that runs past n would write past the output.
+  EXPECT_DEATH(decode_bytes(frame({(std::uint64_t{5} << 1) | 1}), 4),
+               "frame group overruns");
+  EXPECT_DEATH(decode_bytes(frame({(std::uint64_t{3} << 1) | 1, 2 << 1, 7, 7}), 4),
+               "frame group overruns");
+  // An 11-byte varint, and a 10-byte one whose last byte carries bits past
+  // bit 63.
+  net::byte_buffer overlong = frame({});
+  for (int k = 0; k < 10; ++k) overlong.push_back(std::byte{0xff});
+  overlong.push_back(std::byte{0x01});
+  EXPECT_DEATH(decode_bytes(overlong, 4), "varint too long");
+  net::byte_buffer wide = frame({});
+  for (int k = 0; k < 9; ++k) wide.push_back(std::byte{0x80});
+  wide.push_back(std::byte{0x7f});
+  EXPECT_DEATH(decode_bytes(wide, 4), "varint too long");
+  // A truncated frame, down to no mode byte at all.
+  net::byte_buffer full;
+  codec_round_trip({1.0, 2.0, 3.0, 4.0}, &full);
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    const net::byte_buffer cut(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_DEATH(decode_bytes(cut, 4), "underrun") << "length " << len;
+  }
 }
 
 // ------------------------------------------------------------------ store --
 
 TEST(CkptStore, PutGetEraseRoundTrip) {
-  // Purged on close, so reusing a fixed scratch path across runs is fine.
-  ckpt::checkpoint_store store(std::filesystem::temp_directory_path() /
-                               "nlh-ckpt-store-test");
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_FALSE(store.contains("a"));
+  // Destruction removes the blobs, so reusing a fixed scratch path across
+  // runs is fine.
+  const auto dir = std::filesystem::temp_directory_path() / "nlh-ckpt-store-test";
+  const auto a_file = dir / "a.ckpt";
+  const auto b_file = dir / "b.ckpt";
+  {
+    ckpt::checkpoint_store store(dir);
+    EXPECT_EQ(store.bytes_on_disk(), 0u);
 
-  net::byte_buffer blob;
-  for (int i = 0; i < 300; ++i) blob.push_back(static_cast<std::byte>(i & 0xff));
-  store.put("a", blob);
-  store.put("b", net::byte_buffer(10, std::byte{0x5a}));
-  EXPECT_TRUE(store.contains("a"));
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.keys(), (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(store.bytes_on_disk(), 310u);
+    net::byte_buffer blob;
+    for (int i = 0; i < 300; ++i) blob.push_back(static_cast<std::byte>(i & 0xff));
+    store.put("a", blob);
+    store.put("b", net::byte_buffer(10, std::byte{0x5a}));
+    EXPECT_TRUE(std::filesystem::exists(a_file));
+    EXPECT_TRUE(std::filesystem::exists(b_file));
+    EXPECT_EQ(store.bytes_on_disk(), 310u);
 
-  auto back = store.acquire_buffer();
-  store.get("a", back);
-  EXPECT_EQ(back, blob);
-  store.release_buffer(std::move(back));
+    auto back = store.acquire_buffer();
+    store.get("a", back);
+    EXPECT_EQ(back, blob);
+    store.release_buffer(std::move(back));
 
-  // Overwrite replaces, erase drops.
-  store.put("a", net::byte_buffer(4, std::byte{1}));
-  EXPECT_EQ(store.bytes_on_disk(), 14u);
-  store.erase("a");
-  EXPECT_FALSE(store.contains("a"));
-  EXPECT_EQ(store.size(), 1u);
+    // Overwrite replaces, erase drops (once).
+    store.put("a", net::byte_buffer(4, std::byte{1}));
+    EXPECT_EQ(store.bytes_on_disk(), 14u);
+    EXPECT_TRUE(store.erase("a"));
+    EXPECT_FALSE(store.erase("a"));
+    EXPECT_FALSE(std::filesystem::exists(a_file));
+    EXPECT_EQ(store.bytes_on_disk(), 10u);
+    EXPECT_TRUE(std::filesystem::exists(b_file));
+  }
+  EXPECT_FALSE(std::filesystem::exists(b_file));
 }
 
 // ----------------------------------------------------- hibernation manager --
@@ -398,7 +371,12 @@ TEST(CkptHibernation, ActiveSessionsAreNeverEvicted) {
   EXPECT_TRUE(mgr.hibernate("a"));
   EXPECT_FALSE(mgr.hibernate("a"));  // already cold
   EXPECT_EQ(mgr.resident_count(), 0u);
-  EXPECT_GT(mgr.store().bytes_on_disk(), 0u);
+  nlh::obs::metrics_snapshot snap;
+  mgr.metrics_into(snap);
+  double on_disk = 0.0;
+  for (const auto& [k, v] : snap.gauges)
+    if (k == "ckpt/bytes_on_disk") on_disk = v;
+  EXPECT_GT(on_disk, 0.0);
 }
 
 TEST(CkptHibernation, MetricsExposeCkptInstruments) {
@@ -426,97 +404,6 @@ TEST(CkptHibernation, OptionsValidateActionably) {
   EXPECT_TRUE(opt.validate().empty());
   opt.resident_cap = 0;
   EXPECT_NE(opt.validate().find("resident_cap"), std::string::npos);
-}
-
-// --------------------------------------------- dist incremental checkpoints --
-
-namespace {
-
-dist::dist_config chain_config(const std::string& codec = "delta") {
-  dist::dist_config cfg;
-  cfg.sd_rows = cfg.sd_cols = 2;
-  cfg.sd_size = 8;
-  cfg.epsilon_factor = 2;
-  cfg.checkpoint.codec = codec;
-  return cfg;
-}
-
-std::vector<double> run_and_gather(const net::byte_buffer& blob, int extra_steps,
-                                   const dist::dist_config& cfg) {
-  const dist::tiling t(2, 2, 8, 2);
-  dist::dist_solver s(cfg, dist::ownership_map(t, 2, {0, 1, 0, 1}));
-  s.restore(blob);
-  if (extra_steps > 0) s.run(extra_steps);
-  return s.gather();
-}
-
-}  // namespace
-
-TEST(CkptIncremental, DeltaChainRestoresBitwiseEqualToFull) {
-  const auto cfg = chain_config();
-  const dist::tiling t(2, 2, 8, 2);
-  dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 1, 0, 1}));
-  solver.set_initial_condition();
-  solver.run(2);
-  const auto c1 = solver.checkpoint();  // chain anchor: full frames
-  solver.run(3);
-  const auto c2 = solver.checkpoint();       // delta frames vs c1
-  const auto full = solver.checkpoint_full();  // self-contained reference
-  EXPECT_LT(c2.size(), full.size());  // the chain actually saved bytes
-
-  // Restoring the chain (anchor, then delta) must land bitwise on the
-  // same state as the self-contained snapshot.
-  const dist::tiling t2(2, 2, 8, 2);
-  dist::dist_solver chained(cfg, dist::ownership_map(t2, 2, {0, 0, 1, 1}));
-  chained.restore(c1);
-  chained.restore(c2);
-  EXPECT_EQ(chained.current_step(), 5);
-  EXPECT_TRUE(same_bits(chained.gather(), run_and_gather(full, 0, cfg)));
-  EXPECT_TRUE(same_bits(chained.gather(), solver.gather()));
-
-  // And continue identically.
-  chained.run(4);
-  solver.run(4);
-  EXPECT_TRUE(same_bits(chained.gather(), solver.gather()));
-}
-
-TEST(CkptIncremental, EveryCodecMatchesRawSelfContainedState) {
-  // checkpoint_full() through each codec restores to bitwise-identical
-  // fields — codec choice is an encoding detail, never physics.
-  std::vector<std::vector<double>> fields;
-  for (const auto& codec : ckpt::codec_names()) {
-    const auto cfg = chain_config(codec);
-    const dist::tiling t(2, 2, 8, 2);
-    dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 1, 0, 1}));
-    solver.set_initial_condition();
-    solver.run(4);
-    fields.push_back(run_and_gather(solver.checkpoint_full(), 2, cfg));
-  }
-  for (std::size_t i = 1; i < fields.size(); ++i)
-    EXPECT_TRUE(same_bits(fields[0], fields[i]));
-}
-
-TEST(CkptIncremental, MigratedSdFallsBackToFullFrameAndRestores) {
-  const auto cfg = chain_config();
-  const dist::tiling t(2, 2, 8, 2);
-  dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 0, 1, 1}));
-  solver.set_initial_condition();
-  solver.run(1);
-  const auto c1 = solver.checkpoint();  // anchor
-  solver.migrate_sd(0, 1);              // epoch bump: SD 0 diverges from anchor
-  solver.run(2);
-  const auto c2 = solver.checkpoint();  // SD 0 full frame, others delta
-
-  const dist::tiling t2(2, 2, 8, 2);
-  dist::dist_solver restored(cfg, dist::ownership_map(t2, 2, {0, 0, 1, 1}));
-  restored.restore(c1);
-  restored.restore(c2);
-  EXPECT_EQ(restored.current_step(), 3);
-  EXPECT_EQ(restored.owners().owner(0), 1);
-  EXPECT_TRUE(same_bits(restored.gather(), solver.gather()));
-  restored.run(2);
-  solver.run(2);
-  EXPECT_TRUE(same_bits(restored.gather(), solver.gather()));
 }
 
 // -------------------------------------------- api hibernate/restore bitwise --

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "api/session.hpp"
-#include "dist/dist_solver.hpp"
 #include "obs/config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_export.hpp"
@@ -28,7 +27,6 @@
 
 namespace obs = nlh::obs;
 namespace api = nlh::api;
-namespace dist = nlh::dist;
 namespace svc = nlh::svc;
 
 namespace {
@@ -516,19 +514,6 @@ TEST_F(ObsTest, MetricNameSetIsPinned) {
     }
     collect(loop.metrics_snapshot());
   }
-  {
-    // dist/ckpt/* counts the solver's own checkpoint chain; a session's
-    // export drops the solver that took it, so only a bare solver shows it.
-    dist::dist_config cfg;
-    cfg.sd_rows = cfg.sd_cols = 2;
-    const dist::tiling t(2, 2, cfg.sd_size, cfg.epsilon_factor);
-    dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 0, 1, 1}));
-    solver.set_initial_condition();
-    solver.checkpoint();
-    obs::metrics_snapshot snap;
-    solver.metrics_into(snap);
-    collect(snap);
-  }
   const std::vector<std::string> expected = {
       "amt/pool#0/busy_fraction", "amt/pool#0/tasks", "amt/pool#1/busy_fraction",
       "amt/pool#1/tasks", "api/session/comm_wait_seconds", "api/session/dt",
@@ -539,9 +524,7 @@ TEST_F(ObsTest, MetricNameSetIsPinned) {
       "balance/moves", "ckpt/bytes_encoded", "ckpt/bytes_on_disk", "ckpt/bytes_raw",
       "ckpt/compression_ratio", "ckpt/hibernate_seconds", "ckpt/hibernated",
       "ckpt/hibernates", "ckpt/resident", "ckpt/restore_seconds", "ckpt/restores",
-      "ckpt/sessions", "dist/ckpt/bytes_encoded", "dist/ckpt/bytes_raw",
-      "dist/ckpt/checkpoints", "dist/ckpt/compression_ratio",
-      "dist/ckpt/frames_delta", "dist/ckpt/frames_full", "dist/ghost/bytes",
+      "ckpt/sessions", "dist/ghost/bytes",
       "dist/ghost/message_bytes", "dist/ghost/messages",
       "dist/overlap/interior_early", "dist/overlap/strips_early",
       "dist/plan/boundary_sds", "dist/plan/compiles", "dist/plan/local_fills",

@@ -1,10 +1,11 @@
 // Randomized property tests (TEST_P over seeds): cluster-simulator
 // scheduling invariants, serializer round trips, mailbox linearity and
-// balancer conservation under random scenarios.
+// balancer conservation and eq. 10 accuracy under random scenarios.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "balance/balancer.hpp"
@@ -231,6 +232,35 @@ TEST_P(BalancerProperty, ConservationAndValidityUnderRandomBusyTimes) {
     // No node is ever emptied.
     for (int c : own.sd_counts()) EXPECT_GE(c, 1);
     (void)rep;
+  }
+}
+
+TEST_P(BalancerProperty, EndRootedStripChainLandsWithinOneSdOfEq10) {
+  // Column strips are a chain of nodes, and with the most loaded strip at an
+  // end the dependency tree is rooted there: every node but the root must
+  // pass on what its parent settled with it, so one uncapped step reaches
+  // eq. 10 only when that hand-off keeps eq. 9's sign.
+  nlh::support::rng gen(GetParam());
+  const dist::tiling t(12, 12, 4, 2);
+  for (const int strips : {3, 4}) {
+    for (int trial = 0; trial < 10; ++trial) {
+      std::vector<int> owner(static_cast<std::size_t>(t.num_sds()));
+      for (int sd = 0; sd < t.num_sds(); ++sd)
+        owner[static_cast<std::size_t>(sd)] = t.sd_col(sd) * strips / 12;
+      dist::ownership_map own(t, strips, std::move(owner));
+      std::vector<double> busy(static_cast<std::size_t>(strips));
+      for (auto& b : busy) b = gen.uniform(0.2, 1.0);
+      const auto end = gen.uniform_int(0, 1) == 0 ? busy.begin() : busy.end() - 1;
+      std::iter_swap(std::max_element(busy.begin(), busy.end()), end);
+
+      const auto rep = bal::balance_step(t, own, busy);
+      const auto counts = own.sd_counts();
+      for (int n = 0; n < strips; ++n)
+        EXPECT_LE(std::abs(counts[static_cast<std::size_t>(n)] -
+                           rep.expected[static_cast<std::size_t>(n)]),
+                  1.0)
+            << strips << " strips, trial " << trial << ", node " << n;
+    }
   }
 }
 
