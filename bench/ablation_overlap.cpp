@@ -15,9 +15,9 @@
 ///    median of the per-repetition ratios.
 ///    Writes BENCH_overlap.json and exits non-zero unless the
 ///    per-direction schedule holds its gate: at the high-latency points
-///    (1e-3 s, 1e-2 s) it must not lose to the coarse when_all schedule,
-///    and it must never regress the bulk-synchronous baseline, each within
-///    a noise tolerance. Set NLH_BENCH_OVERLAP_JSON to redirect the report
+///    (1e-3 s, 1e-2 s) it must not lose to the coarse schedule (all of an
+///    SD's strips gated on every message the SD reads), and it must never
+///    regress the bulk-synchronous baseline, each within a noise tolerance. Set NLH_BENCH_OVERLAP_JSON to redirect the report
 ///    (default: ./BENCH_overlap.json).
 ///
 

@@ -1,9 +1,8 @@
 ///
 /// \file micro_runtime.cpp
 /// \brief Microbenchmarks of the mini-AMT runtime: async launch/get
-/// round-trip, then-continuation chaining, when_all fan-in, the
-/// single-dependency hop the ghost exchange uses (dataflow_one) and task
-/// throughput.
+/// round-trip, then-continuation chaining, the single-dependency hop the
+/// ghost exchange uses (dataflow_one) and task throughput.
 ///
 
 #include <benchmark/benchmark.h>
@@ -26,7 +25,9 @@ BENCHMARK(BM_AsyncRoundTrip)->Arg(1)->Arg(2)->Arg(4);
 static void BM_ReadyFutureThenChain(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto f = amt::make_ready_future<int>(0);
+    amt::promise<int> p;
+    p.set_value(0);
+    auto f = p.get_future();
     for (int i = 0; i < depth; ++i)
       f = f.then([](amt::future<int> r) { return r.get() + 1; });
     benchmark::DoNotOptimize(f.get());
@@ -35,22 +36,7 @@ static void BM_ReadyFutureThenChain(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadyFutureThenChain)->Arg(1)->Arg(8)->Arg(64);
 
-static void BM_WhenAllFanIn(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    std::vector<amt::future<int>> fs;
-    fs.reserve(static_cast<std::size_t>(width));
-    for (int i = 0; i < width; ++i) fs.push_back(amt::make_ready_future<int>(i));
-    auto all = amt::when_all(std::move(fs));
-    benchmark::DoNotOptimize(all.get().size());
-  }
-  state.SetItemsProcessed(state.iterations() * width);
-}
-BENCHMARK(BM_WhenAllFanIn)->Arg(4)->Arg(32)->Arg(256);
-
-/// The ghost-message hop: one dependency, one pool post — compare
-/// with BM_WhenAllFanIn at width 1 plus a task launch (the machinery the
-/// general dataflow pays).
+/// The ghost-message hop: one dependency, one pool post.
 static void BM_DataflowOne(benchmark::State& state) {
   amt::thread_pool pool(1);
   for (auto _ : state) {
@@ -72,7 +58,7 @@ static void BM_TaskThroughput(benchmark::State& state) {
     fs.reserve(batch);
     for (int i = 0; i < batch; ++i)
       fs.push_back(amt::async(pool, [] { benchmark::ClobberMemory(); }));
-    amt::wait_all(fs);
+    for (const auto& f : fs) f.wait();
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }

@@ -1,8 +1,8 @@
 #pragma once
 ///
 /// \file async.hpp
-/// \brief `async`/`dataflow` — launch callables on a thread pool and get a
-/// future, mirroring `hpx::async` / `hpx::dataflow`.
+/// \brief `async`/`dataflow_one` — launch callables on a thread pool and get
+/// a future, mirroring `hpx::async` / `hpx::dataflow`.
 ///
 
 #include <tuple>
@@ -41,7 +41,7 @@ auto async(thread_pool& pool, F&& fn, Args&&... args)
 /// Single-dependency dataflow: run `fn(ready)` on `pool` once `dep` is
 /// ready. This is the hop the ghost exchange uses to move each message's
 /// unpack off the delivering thread onto the owner's pool — one future,
-/// one continuation, no when_all/vector machinery.
+/// one continuation.
 template <class T, class F>
 auto dataflow_one(thread_pool& pool, future<T> dep, F&& fn)
     -> future<std::invoke_result_t<std::decay_t<F>, future<T>>> {
@@ -60,35 +60,6 @@ auto dataflow_one(thread_pool& pool, future<T> dep, F&& fn)
               p.set_value();
             } else {
               p.set_value(fn(future<T>(std::move(state))));
-            }
-          } catch (...) {
-            p.set_exception(std::current_exception());
-          }
-        });
-      });
-  return out;
-}
-
-/// dataflow: run `fn` on `pool` once every future in `deps` is ready.
-/// The callable receives the vector of ready futures.
-template <class T, class F>
-auto dataflow(thread_pool& pool, std::vector<future<T>> deps, F&& fn)
-    -> future<std::invoke_result_t<std::decay_t<F>, std::vector<future<T>>>> {
-  using R = std::invoke_result_t<std::decay_t<F>, std::vector<future<T>>>;
-  promise<R> p;
-  auto out = p.get_future();
-  when_all(std::move(deps))
-      .then([&pool, p = std::move(p),
-             fn = std::forward<F>(fn)](future<std::vector<future<T>>> ready) mutable {
-        // Hop onto the pool so heavy continuations never run on the
-        // completing (possibly network) thread.
-        pool.post([p = std::move(p), fn = std::move(fn), fs = ready.get()]() mutable {
-          try {
-            if constexpr (std::is_void_v<R>) {
-              fn(std::move(fs));
-              p.set_value();
-            } else {
-              p.set_value(fn(std::move(fs)));
             }
           } catch (...) {
             p.set_exception(std::current_exception());

@@ -2,7 +2,7 @@
 ///
 /// \file future.hpp
 /// \brief Futurization primitives modeled on the HPX subset the paper uses:
-/// `future`, `promise`, `then`-continuations, `when_all`, `make_ready_future`.
+/// `future`, `promise` and `then`-continuations.
 ///
 /// Unlike `std::future`, attaching a continuation (`then`) never blocks: when
 /// the state is already ready the continuation runs inline on the attaching
@@ -208,68 +208,6 @@ template <class T>
 future<T> promise<T>::get_future() {
   NLH_ASSERT(state_ != nullptr);
   return future<T>(state_);
-}
-
-/// A future that is ready immediately (HPX's hpx::make_ready_future).
-template <class T, class... Args>
-future<T> make_ready_future(Args&&... args) {
-  promise<T> p;
-  p.set_value(std::forward<Args>(args)...);
-  return p.get_future();
-}
-
-inline future<void> make_ready_future() {
-  promise<void> p;
-  p.set_value();
-  return p.get_future();
-}
-
-/// Composite future that becomes ready when every input is ready; the inputs
-/// are handed back so callers can inspect per-element results/exceptions
-/// (mirrors hpx::when_all's future<vector<future<T>>> shape).
-template <class T>
-future<std::vector<future<T>>> when_all(std::vector<future<T>> fs) {
-  struct ctx {
-    std::mutex m;
-    std::vector<future<T>> fs;
-    std::size_t pending = 0;
-    promise<std::vector<future<T>>> done;
-  };
-  auto c = std::make_shared<ctx>();
-  c->pending = fs.size();
-  c->fs = std::move(fs);
-
-  if (c->pending == 0) {
-    c->done.set_value(std::move(c->fs));
-    return c->done.get_future();
-  }
-
-  auto result = c->done.get_future();
-  // Snapshot the states first: attaching may fire the final continuation
-  // inline, which moves c->fs and would invalidate iteration over it.
-  std::vector<std::shared_ptr<detail::shared_state<T>>> states;
-  states.reserve(c->fs.size());
-  for (auto& f : c->fs) {
-    NLH_ASSERT(f.valid());
-    states.push_back(f.state());
-  }
-  for (auto& s : states) {
-    s->add_continuation([c] {
-      bool last = false;
-      {
-        std::lock_guard lk(c->m);
-        last = --c->pending == 0;
-      }
-      if (last) c->done.set_value(std::move(c->fs));
-    });
-  }
-  return result;
-}
-
-/// Block until all futures are ready (does not consume values).
-template <class T>
-void wait_all(const std::vector<future<T>>& fs) {
-  for (const auto& f : fs) f.wait();
 }
 
 }  // namespace nlh::amt

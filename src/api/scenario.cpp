@@ -1,6 +1,6 @@
 ///
 /// \file scenario.cpp
-/// \brief Built-in scenarios and the string-keyed registry. The
+/// \brief Built-in scenarios and their string-keyed lookup. The
 /// manufactured scenario reproduces nonlocal::manufactured_problem bit for
 /// bit, so routing the solvers through it changes no bits of any existing
 /// run. Its w and dw/dt fills use the separable form f(t) * sin(2 pi x) *
@@ -15,8 +15,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -54,61 +52,37 @@ std::vector<double> scenario::sd_work(int, int) const { return {}; }
 
 namespace {
 
-using registry_map = std::map<std::string, scenario_factory>;
-
-registry_map& registry() {
-  static registry_map* r = [] {
-    auto* m = new registry_map;
-    (*m)["manufactured"] = [] { return std::make_shared<const manufactured_scenario>(); };
-    (*m)["gaussian_pulse"] = [] {
-      return std::make_shared<const gaussian_pulse_scenario>();
-    };
-    (*m)["lshape"] = [] { return std::make_shared<const lshape_scenario>(); };
-    (*m)["crack"] = [] { return std::make_shared<const crack_scenario>(); };
-    return m;
-  }();
-  return *r;
+template <class S>
+std::shared_ptr<const scenario> make_default() {
+  return std::make_shared<const S>();
 }
 
-std::mutex& registry_mutex() {
-  static std::mutex m;
-  return m;
-}
+/// The built-ins by name, sorted; a fixed table, read without a lock.
+constexpr struct {
+  const char* name;
+  std::shared_ptr<const scenario> (*make)();
+} builtins[] = {
+    {"crack", make_default<crack_scenario>},
+    {"gaussian_pulse", make_default<gaussian_pulse_scenario>},
+    {"lshape", make_default<lshape_scenario>},
+    {"manufactured", make_default<manufactured_scenario>},
+};
 
 }  // namespace
 
-void register_scenario(const std::string& name, scenario_factory factory) {
-  NLH_ASSERT_MSG(!name.empty(), "register_scenario: empty name");
-  NLH_ASSERT_MSG(factory != nullptr, "register_scenario: null factory");
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  registry()[name] = std::move(factory);
-}
-
 std::shared_ptr<const scenario> make_scenario(const std::string& name) {
-  scenario_factory factory;
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex());
-    const auto& reg = registry();
-    const auto it = reg.find(name);
-    if (it == reg.end()) {
-      std::ostringstream msg;
-      msg << "unknown scenario '" << name << "'; registered scenarios:";
-      for (const auto& [key, _] : reg) msg << " " << key;
-      throw std::invalid_argument(msg.str());
-    }
-    factory = it->second;
-  }
-  // Invoked outside the lock: factories may themselves consult the
-  // registry (e.g. compose over make_scenario).
-  return factory();
+  for (const auto& b : builtins)
+    if (name == b.name) return b.make();
+  std::ostringstream msg;
+  msg << "unknown scenario '" << name << "'; registered scenarios:";
+  for (const auto& b : builtins) msg << " " << b.name;
+  throw std::invalid_argument(msg.str());
 }
 
 std::vector<std::string> scenario_names() {
-  std::lock_guard<std::mutex> lock(registry_mutex());
   std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [key, _] : registry()) names.push_back(key);
-  return names;  // std::map iteration is already sorted
+  for (const auto& b : builtins) names.emplace_back(b.name);
+  return names;
 }
 
 // ----------------------------------------------------------- manufactured --

@@ -1,7 +1,7 @@
 #pragma once
 ///
 /// \file scenario.hpp
-/// \brief Pluggable workload scenarios and their string-keyed registry —
+/// \brief Pluggable workload scenarios and their string-keyed lookup —
 /// the "what to solve" half of the `nlh::api` facade (docs/api.md).
 ///
 /// A scenario supplies everything about the model that is not
@@ -19,7 +19,6 @@
 /// consume it without a dependency cycle.
 ///
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,24 +93,19 @@ class scenario {
 
 // --------------------------------------------------------------- registry --
 
-using scenario_factory = std::function<std::shared_ptr<const scenario>()>;
-
-/// Register (or replace) a factory under `name`. The built-ins below are
-/// pre-registered; user code may add its own before building sessions.
-void register_scenario(const std::string& name, scenario_factory factory);
-
-/// Instantiate a registered scenario. Throws std::invalid_argument naming
-/// the unknown key and listing the registered ones.
+/// Instantiate a built-in scenario with its default parameters. Throws
+/// std::invalid_argument naming the unknown key and listing the known
+/// ones. A scenario of your own goes in session_options::custom_scenario.
 std::shared_ptr<const scenario> make_scenario(const std::string& name);
 
-/// Sorted registry keys (at least "crack", "gaussian_pulse", "lshape",
-/// "manufactured").
+/// Sorted registry keys: "crack", "gaussian_pulse", "lshape",
+/// "manufactured".
 std::vector<std::string> scenario_names();
 
 // ------------------------------------------------------ built-in scenarios --
 // Concrete classes are exposed so callers can instantiate them with
 // non-default parameters and hand them to session_options::custom_scenario;
-// the registry holds default-parameter instances.
+// make_scenario builds default-parameter instances.
 
 /// The paper's manufactured problem (§3.2): w = cos(2 pi t) sin(2 pi x1)
 /// sin(2 pi x2), source manufactured at the discrete level. The default

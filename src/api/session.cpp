@@ -119,7 +119,6 @@ class serial_impl final : public solver_impl {
     cfg.conductivity = o.conductivity;
     cfg.dt = o.dt;
     cfg.dt_safety = o.dt_safety;
-    cfg.num_steps = o.num_steps;
     cfg.kind = o.kind;
     cfg.backend = resolve_backend(o);
     return cfg;

@@ -28,10 +28,10 @@ checkpoint_store::checkpoint_store(fs::path directory)
 }
 
 checkpoint_store::~checkpoint_store() {
-  for (const auto& [key, size] : entries_) {
-    std::error_code ec;
-    fs::remove(blob_path(key), ec);
-  }
+  std::error_code ec;
+  for (const auto& [key, size] : entries_) fs::remove(blob_path(key), ec);
+  // Fails, and leaves the directory, while it holds files of someone else.
+  fs::remove(dir_, ec);
 }
 
 fs::path checkpoint_store::blob_path(const std::string& key) const {

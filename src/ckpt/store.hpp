@@ -13,7 +13,7 @@
 ///
 /// Thread-safe; keys are flat names (no path separators). Blobs are
 /// scratch state: erase() removes one, and destruction removes every blob
-/// still stored.
+/// still stored, then the directory unless other files remain in it.
 ///
 
 #include <cstdint>

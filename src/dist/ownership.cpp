@@ -47,13 +47,6 @@ std::vector<int> ownership_map::sd_counts() const {
   return counts;
 }
 
-bool ownership_map::is_sp_boundary(const tiling& t, int sd) const {
-  const int me = owner(sd);
-  for (const auto& [d, nb] : t.neighbors(sd))
-    if (owner(nb) != me) return true;
-  return false;
-}
-
 std::vector<std::vector<int>> ownership_map::node_adjacency(const tiling& t) const {
   std::vector<std::vector<int>> adj(static_cast<std::size_t>(num_nodes_));
   for (int sd = 0; sd < num_sds(); ++sd) {

@@ -46,10 +46,6 @@ class ownership_map {
   /// Owned-SD count per node.
   std::vector<int> sd_counts() const;
 
-  /// True when `sd` touches (8-connectivity) an SD of another locality —
-  /// i.e. it lies on the SP boundary and participates in ghost exchange.
-  bool is_sp_boundary(const tiling& t, int sd) const;
-
   /// For each node, the sorted list of other nodes owning a neighbor of one
   /// of its SDs — the tree edges Algorithm 1 redistributes along.
   std::vector<std::vector<int>> node_adjacency(const tiling& t) const;

@@ -25,11 +25,6 @@ bool sd_is_active(const sim_cost_model& cost, int sd) {
 
 }  // namespace
 
-double sd_step_work(const tiling& t, int sd, const sim_cost_model& cost) {
-  const double dps = static_cast<double>(t.sd_size()) * t.sd_size();
-  return dps * cost.work_per_dp * sd_scale(cost, sd);
-}
-
 sim_result simulate_timestepping(const tiling& t, const ownership_map& own, int steps,
                                  const sim_cost_model& cost,
                                  const sim_cluster_config& cluster) {

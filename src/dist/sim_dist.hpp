@@ -55,10 +55,6 @@ struct sim_result {
   std::int64_t network_messages = 0;
 };
 
-/// Work units one SD costs per timestep under `cost` (interior + boundary
-/// together; the split does not change the total).
-double sd_step_work(const tiling& t, int sd, const sim_cost_model& cost);
-
 /// Build the task DAG for `steps` timesteps of the tiling under `own` and
 /// execute it on the virtual cluster.
 sim_result simulate_timestepping(const tiling& t, const ownership_map& own, int steps,

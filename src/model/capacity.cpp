@@ -1,9 +1,6 @@
 #include "model/capacity.hpp"
 
-#include <algorithm>
-
 #include "support/assert.hpp"
-#include "support/rng.hpp"
 
 namespace nlh::model {
 
@@ -19,60 +16,6 @@ std::vector<sim::capacity_trace> heterogeneous_cluster(const std::vector<double>
   for (double s : speeds) {
     NLH_ASSERT(s > 0.0);
     out.push_back(sim::capacity_trace::constant(s));
-  }
-  return out;
-}
-
-std::vector<sim::capacity_trace> step_interference(int nodes, double speed, int victim,
-                                                   double interference_factor,
-                                                   double t_start, double t_end) {
-  NLH_ASSERT(victim >= 0 && victim < nodes);
-  NLH_ASSERT(t_start > 0.0 && t_end > t_start);
-  NLH_ASSERT(interference_factor > 0.0);
-  auto out = uniform_cluster(nodes, speed);
-  sim::capacity_trace t;
-  t.add_segment(0.0, speed);
-  t.add_segment(t_start, speed * interference_factor);
-  t.add_segment(t_end, speed);
-  out[static_cast<std::size_t>(victim)] = std::move(t);
-  return out;
-}
-
-std::vector<sim::capacity_trace> ramp_degradation(int nodes, double speed, int victim,
-                                                  double end_factor, double t_end,
-                                                  int segments) {
-  NLH_ASSERT(victim >= 0 && victim < nodes);
-  NLH_ASSERT(segments >= 1 && t_end > 0.0);
-  auto out = uniform_cluster(nodes, speed);
-  sim::capacity_trace t;
-  for (int s = 0; s < segments; ++s) {
-    const double frac = static_cast<double>(s) / segments;
-    t.add_segment(frac * t_end, speed * (1.0 + frac * (end_factor - 1.0)));
-  }
-  t.add_segment(t_end, speed * end_factor);
-  out[static_cast<std::size_t>(victim)] = std::move(t);
-  return out;
-}
-
-std::vector<sim::capacity_trace> random_walk_cluster(int nodes, double speed,
-                                                     double lo_factor, double hi_factor,
-                                                     double interval, int num_segments,
-                                                     unsigned seed) {
-  NLH_ASSERT(nodes >= 1 && speed > 0.0);
-  NLH_ASSERT(lo_factor > 0.0 && hi_factor >= lo_factor);
-  NLH_ASSERT(interval > 0.0 && num_segments >= 1);
-  support::rng gen(seed);
-  std::vector<sim::capacity_trace> out;
-  out.reserve(static_cast<std::size_t>(nodes));
-  for (int n = 0; n < nodes; ++n) {
-    sim::capacity_trace t;
-    double factor = 1.0;
-    t.add_segment(0.0, speed);
-    for (int s = 1; s < num_segments; ++s) {
-      factor = std::clamp(factor * gen.uniform(0.85, 1.18), lo_factor, hi_factor);
-      t.add_segment(s * interval, speed * factor);
-    }
-    out.push_back(std::move(t));
   }
   return out;
 }

@@ -1,8 +1,8 @@
 #pragma once
 ///
 /// \file capacity.hpp
-/// \brief Builders for node capacity scenarios: static heterogeneity,
-/// step interference (another job lands on a node), ramps and random walks.
+/// \brief Builders for node capacity scenarios: a uniform cluster and
+/// static heterogeneity.
 ///
 
 #include <vector>
@@ -16,26 +16,5 @@ std::vector<sim::capacity_trace> uniform_cluster(int nodes, double speed);
 
 /// Per-node constant speeds (e.g. {1, 2, 3, 4} for a 1:2:3:4 cluster).
 std::vector<sim::capacity_trace> heterogeneous_cluster(const std::vector<double>& speeds);
-
-/// All nodes at `speed`; `victim` drops to speed*interference_factor at
-/// t_start and recovers at t_end (an external job borrowing the node).
-std::vector<sim::capacity_trace> step_interference(int nodes, double speed, int victim,
-                                                   double interference_factor,
-                                                   double t_start, double t_end);
-
-/// Node `victim` degrades linearly (piecewise, `segments` pieces) from
-/// `speed` to `speed * end_factor` over [0, t_end]; others constant.
-std::vector<sim::capacity_trace> ramp_degradation(int nodes, double speed, int victim,
-                                                  double end_factor, double t_end,
-                                                  int segments);
-
-/// Every node performs an independent bounded random walk around `speed`
-/// (new segment every `interval` virtual seconds, `num_segments` segments,
-/// multiplicative steps within [lo_factor, hi_factor]); deterministic in
-/// `seed`.
-std::vector<sim::capacity_trace> random_walk_cluster(int nodes, double speed,
-                                                     double lo_factor, double hi_factor,
-                                                     double interval, int num_segments,
-                                                     unsigned seed);
 
 }  // namespace nlh::model

@@ -1,7 +1,5 @@
 #include "model/crack.hpp"
 
-#include <algorithm>
-
 #include "support/assert.hpp"
 
 namespace nlh::model {
@@ -51,17 +49,6 @@ std::vector<double> crack_work_scale(const dist::tiling& t, const crack_line& c,
       scale[static_cast<std::size_t>(sd)] = 1.0 - work_reduction;
   }
   return scale;
-}
-
-crack_line crack_at_time(const crack_line& full, double t, double t_grown) {
-  NLH_ASSERT(t_grown > 0.0);
-  const double f = std::clamp(t / t_grown, 0.0, 1.0);
-  crack_line c;
-  c.x0 = full.x0;
-  c.y0 = full.y0;
-  c.x1 = full.x0 + f * (full.x1 - full.x0);
-  c.y1 = full.y0 + f * (full.y1 - full.y0);
-  return c;
 }
 
 }  // namespace nlh::model

@@ -5,7 +5,7 @@
 ///
 /// In nonlocal fracture models, DPs on opposite sides of a crack line stop
 /// interacting, so SDs crossed by the crack carry less work. This module
-/// turns a (possibly growing) crack segment in [0,1]^2 into per-SD work
+/// turns a crack segment in [0,1]^2 into per-SD work
 /// multipliers consumed by the simulator's cost model — exercising exactly
 /// the load-imbalance source the paper's balancer targets.
 ///
@@ -31,9 +31,5 @@ bool segment_intersects_rect(const crack_line& c, double rx0, double ry0, double
 /// 1 - work_reduction, everyone else 1. work_reduction in [0, 1).
 std::vector<double> crack_work_scale(const dist::tiling& t, const crack_line& c,
                                      double work_reduction);
-
-/// A crack growing linearly from `start` towards `full` over [0, t_grown];
-/// at time t the active segment is the proportional prefix.
-crack_line crack_at_time(const crack_line& full, double t, double t_grown);
 
 }  // namespace nlh::model

@@ -20,11 +20,6 @@ double error_ek(const grid2d& grid, const std::vector<double>& exact,
   return grid.cell_volume() * sum;
 }
 
-double error_l2(const grid2d& grid, const std::vector<double>& exact,
-                const std::vector<double>& numerical) {
-  return std::sqrt(error_ek(grid, exact, numerical));
-}
-
 double error_max_relative(const grid2d& grid, const std::vector<double>& exact,
                           const std::vector<double>& numerical) {
   NLH_ASSERT(exact.size() == grid.total() && numerical.size() == grid.total());

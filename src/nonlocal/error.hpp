@@ -2,7 +2,8 @@
 ///
 /// \file error.hpp
 /// \brief Error norms of paper §3.2: e_k = h^d sum_i |u_exact - u_h|^2
-/// (eq. 7), the total e = sum_k e_k, plus max-relative error (Fig. 8 axis).
+/// (eq. 7; a run's total e = sum_k e_k is summed by its caller, e.g. a
+/// solver_handle observer) plus max-relative error (Fig. 8 axis).
 ///
 
 #include <vector>
@@ -15,27 +16,8 @@ namespace nlh::nonlocal {
 double error_ek(const grid2d& grid, const std::vector<double>& exact,
                 const std::vector<double>& numerical);
 
-/// Discrete L2 norm sqrt(h^d sum |diff|^2).
-double error_l2(const grid2d& grid, const std::vector<double>& exact,
-                const std::vector<double>& numerical);
-
 /// max_i |exact_i - num_i| / max_i |exact_i| (0/0 -> 0).
 double error_max_relative(const grid2d& grid, const std::vector<double>& exact,
                           const std::vector<double>& numerical);
-
-/// Accumulates e = sum_k e_k over a run.
-class error_accumulator {
- public:
-  void add_step(double ek) {
-    total_ += ek;
-    ++steps_;
-  }
-  double total() const { return total_; }
-  int steps() const { return steps_; }
-
- private:
-  double total_ = 0.0;
-  int steps_ = 0;
-};
 
 }  // namespace nlh::nonlocal

@@ -22,7 +22,6 @@ serial_solver::serial_solver(const solver_config& cfg,
       lu_(grid_.make_field()),
       w_scratch_(grid_.make_field()),
       b_scratch_(grid_.make_field()) {
-  NLH_ASSERT(cfg.num_steps >= 1);
   if (cfg.backend) plan_.set_backend(*cfg.backend);
 }
 
@@ -62,37 +61,6 @@ void serial_solver::step(int step_index) {
       const auto idx = grid_.flat(i, j);
       u_[idx] += dt_ * (lu_[idx] + b_scratch_[idx]);
     }
-}
-
-std::vector<double> serial_solver::exact_field(double t) const {
-  auto field = grid_.make_field();
-  for (int i = 0; i < grid_.n(); ++i)
-    for (int j = 0; j < grid_.n(); ++j)
-      field[grid_.flat(i, j)] = scenario_->exact(t, grid_.x(j), grid_.y(i));
-  return field;
-}
-
-solve_result serial_solver::run() {
-  set_initial_condition();
-  const bool has_exact = scenario_->has_exact();
-  error_accumulator acc;
-  for (int k = 0; k < cfg_.num_steps; ++k) {
-    step(k);
-    if (has_exact) {
-      const auto exact = exact_field((k + 1) * dt_);
-      acc.add_step(error_ek(grid_, exact, u_));
-    }
-  }
-  solve_result res;
-  if (has_exact) {
-    const auto exact = exact_field(cfg_.num_steps * dt_);
-    res.total_error_e = acc.total();
-    res.final_ek = error_ek(grid_, exact, u_);
-    res.max_relative_error = error_max_relative(grid_, exact, u_);
-  }
-  res.dt = dt_;
-  res.steps = cfg_.num_steps;
-  return res;
 }
 
 }  // namespace nlh::nonlocal

@@ -13,13 +13,11 @@
 /// of §3.2, which reproduces the historical hard-wired behaviour bitwise.
 ///
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "api/scenario.hpp"
-#include "nonlocal/error.hpp"
 #include "nonlocal/grid2d.hpp"
 #include "nonlocal/influence.hpp"
 #include "nonlocal/kernel/stencil_plan.hpp"
@@ -34,21 +32,10 @@ struct solver_config {
   double conductivity = 1.0;  ///< classical k
   double dt = 0.0;            ///< 0 = use the stability bound * safety
   double dt_safety = 0.5;     ///< fraction of the stability bound
-  int num_steps = 20;
   influence_kind kind = influence_kind::constant;
   /// Kernel backend this solver's plan is pinned to; nullopt keeps the
   /// plan following the process default (the historical behaviour).
   std::optional<kernel_backend> backend;
-};
-
-/// Per-run outputs. The error fields stay 0 when the scenario provides no
-/// exact solution.
-struct solve_result {
-  double total_error_e = 0.0;     ///< sum_k e_k, paper eq. (7)
-  double final_ek = 0.0;          ///< e_k at the final step
-  double max_relative_error = 0.0;///< Fig. 8 y-axis at the final step
-  double dt = 0.0;
-  int steps = 0;
 };
 
 class serial_solver {
@@ -81,15 +68,6 @@ class serial_solver {
   /// DPs updated, seconds in the hot loop) since construction. Feeds the
   /// kernel/* observables the API layer exports (docs/observability.md).
   const kernel_exec_stats& kernel_stats() const { return kstats_; }
-
-  /// Scenario's exact solution on the padded interior at time t (collar 0).
-  /// Only valid when active_scenario().has_exact().
-  std::vector<double> exact_field(double t) const;
-
-  /// Run `num_steps` steps from the initial condition, accumulating the
-  /// error against the scenario's exact solution after every step (error
-  /// fields stay 0 for scenarios without one).
-  solve_result run();
 
  private:
   api::scenario_context context() const { return {&grid_, &plan_, c_}; }

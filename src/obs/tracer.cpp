@@ -203,16 +203,4 @@ void trace_instant(const char* name, std::uint64_t arg) {
   t.record(name, 'i', arg, t.now_ns(), 0);
 }
 
-void trace_begin(const char* name, std::uint64_t arg) {
-  if (!tracing_enabled()) return;
-  auto& t = tracer::instance();
-  t.record(name, 'B', arg, t.now_ns(), 0);
-}
-
-void trace_end(const char* name) {
-  if (!tracing_enabled()) return;
-  auto& t = tracer::instance();
-  t.record(name, 'E', 0, t.now_ns(), 0);
-}
-
 }  // namespace nlh::obs

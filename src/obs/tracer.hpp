@@ -17,10 +17,8 @@
 /// plus one uncontended lock/unlock (measured in bench/micro_obs, gated
 /// <= 5% of a traced solver step in CI).
 ///
-/// The API is the usual tracing triple:
+/// The API is a pair:
 ///   - `span` — RAII guard emitting one complete ('X') event at scope exit
-///   - `trace_begin` / `trace_end` — explicit 'B'/'E' pairs for regions
-///     that cannot be scoped (e.g. spanning a future continuation)
 ///   - `trace_instant` — point events ('i')
 ///
 /// Event names must be string literals (or otherwise outlive the tracer):
@@ -49,7 +47,7 @@ struct trace_event {
   std::int64_t dur_ns = 0;  ///< complete ('X') events only
   std::uint64_t arg = 0;    ///< free-form detail (SD id, bytes, seq, ...)
   std::uint32_t tid = 0;    ///< tracer-assigned thread id (dense from 1)
-  char phase = 'i';         ///< 'X' complete, 'B' begin, 'E' end, 'i' instant
+  char phase = 'i';         ///< 'X' complete, 'i' instant
 };
 
 /// Process-wide trace recorder; thread safe. All sessions/solvers record
@@ -125,10 +123,6 @@ class span {
 
 /// Point event at the current time.
 void trace_instant(const char* name, std::uint64_t arg = 0);
-/// Explicit begin/end pair ('B'/'E'); match them on the same thread — the
-/// Chrome trace viewer pairs B/E per tid.
-void trace_begin(const char* name, std::uint64_t arg = 0);
-void trace_end(const char* name);
 
 }  // namespace nlh::obs
 
@@ -141,5 +135,3 @@ void trace_end(const char* name);
 #define NLH_TRACE_SPAN_ARG(name, arg) \
   ::nlh::obs::span NLH_OBS_CONCAT(nlh_trace_span_, __LINE__)(name, (arg))
 #define NLH_TRACE_INSTANT(name, arg) ::nlh::obs::trace_instant((name), (arg))
-#define NLH_TRACE_BEGIN(name, arg) ::nlh::obs::trace_begin((name), (arg))
-#define NLH_TRACE_END(name) ::nlh::obs::trace_end((name))

@@ -1,49 +1,9 @@
 #include "support/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
-
-#include "support/assert.hpp"
+#include <cstddef>
 
 namespace nlh::support {
-
-void running_stats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void running_stats::merge(const running_stats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
-void running_stats::reset() { *this = running_stats{}; }
-
-double running_stats::variance() const {
-  return n_ ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double running_stats::stddev() const { return std::sqrt(variance()); }
 
 double mean(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
@@ -53,36 +13,21 @@ double mean(const std::vector<double>& xs) {
 }
 
 double stddev(const std::vector<double>& xs) {
-  running_stats rs;
-  for (double x : xs) rs.add(x);
-  return rs.stddev();
-}
-
-double median(std::vector<double> xs) { return percentile(std::move(xs), 50.0); }
-
-double percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  NLH_ASSERT(p >= 0.0 && p <= 100.0);
-  std::sort(xs.begin(), xs.end());
-  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  std::size_t n = 0;
+  double m = 0.0, m2 = 0.0;
+  for (double x : xs) {
+    ++n;
+    const double delta = x - m;
+    m += delta / static_cast<double>(n);
+    m2 += delta * (x - m);
+  }
+  return std::sqrt(n ? m2 / static_cast<double>(n) : 0.0);
 }
 
 double imbalance_cov(const std::vector<double>& busy_times) {
   const double m = mean(busy_times);
   if (m == 0.0) return 0.0;
   return stddev(busy_times) / m;
-}
-
-double imbalance_ratio(const std::vector<double>& busy_times) {
-  if (busy_times.empty()) return 0.0;
-  const double m = mean(busy_times);
-  if (m == 0.0) return 0.0;
-  const double mx = *std::max_element(busy_times.begin(), busy_times.end());
-  return mx / m - 1.0;
 }
 
 }  // namespace nlh::support

@@ -1,51 +1,22 @@
 #pragma once
 ///
 /// \file stats.hpp
-/// \brief Streaming and batch descriptive statistics used by the benchmark
-/// harness and the load balancer's busy-time analysis.
+/// \brief Batch descriptive statistics for the load balancer's busy-time
+/// analysis.
 ///
 
-#include <cstddef>
 #include <vector>
 
 namespace nlh::support {
 
-/// Welford streaming accumulator: numerically stable mean/variance without
-/// storing samples. Used for per-node busy-time summaries.
-class running_stats {
- public:
-  void add(double x);
-  void merge(const running_stats& other);
-  void reset();
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  ///< population variance
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Batch helpers over a sample vector (copied so the input stays unsorted).
+/// Batch helpers over a sample vector; 0 for an empty one.
 double mean(const std::vector<double>& xs);
+/// Population standard deviation, by Welford's one-pass update.
 double stddev(const std::vector<double>& xs);
-double median(std::vector<double> xs);
-double percentile(std::vector<double> xs, double p);  ///< p in [0,100]
 
 /// Coefficient of variation of busy times: the paper's implicit imbalance
 /// signal ("significantly different busy times ... indicate a load
 /// imbalance"). 0 = perfectly balanced.
 double imbalance_cov(const std::vector<double>& busy_times);
-
-/// max/mean - 1: classic load-imbalance metric (0 = perfect).
-double imbalance_ratio(const std::vector<double>& busy_times);
 
 }  // namespace nlh::support

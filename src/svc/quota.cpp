@@ -36,38 +36,23 @@ std::vector<std::string> tenant_quota::validate() const {
   return errs;
 }
 
-quota_ledger::quota_ledger(tenant_quota defaults) : defaults_(defaults) {}
-
-void quota_ledger::set_quota(const std::string& tenant, tenant_quota q) {
-  std::lock_guard<std::mutex> lk(mu_);
-  bucket_locked(tenant).q = q;
-}
-
-quota_ledger::bucket& quota_ledger::bucket_locked(const std::string& tenant) {
-  auto it = buckets_.find(tenant);
-  if (it == buckets_.end())
-    it = buckets_.emplace(tenant, bucket{defaults_, 0.0, 0.0, 0, false}).first;
-  return it->second;
-}
+quota_ledger::quota_ledger(tenant_quota limits) : limits_(limits) {}
 
 quota_ledger::decision quota_ledger::police(const std::string& tenant,
                                             double now_s) {
   std::lock_guard<std::mutex> lk(mu_);
-  bucket& b = bucket_locked(tenant);
-  if (!b.initialized) {
-    // A fresh tenant starts with a full bucket: its first burst up to
-    // `burst` jobs is admitted without delay.
-    b.tokens = b.q.burst;
-    b.last_refill = now_s;
-    b.initialized = true;
-  }
+  // A fresh tenant starts with a full bucket: its first burst up to
+  // `burst` jobs is admitted without delay.
+  bucket& b =
+      buckets_.try_emplace(tenant, bucket{limits_.burst, now_s, 0})
+          .first->second;
   // Refill up to capacity; never clamp a negative balance upward past what
   // the elapsed time earned — outstanding reservations must stay paid for.
-  b.tokens = std::min(b.q.burst,
-                      b.tokens + (now_s - b.last_refill) * b.q.rate_per_second);
+  b.tokens = std::min(limits_.burst, b.tokens + (now_s - b.last_refill) *
+                                                    limits_.rate_per_second);
   b.last_refill = now_s;
 
-  if (b.in_flight >= b.q.max_in_flight) {
+  if (b.in_flight >= limits_.max_in_flight) {
     shed_.add();
     return {policing_decision::shed, 0.0};
   }
@@ -81,7 +66,7 @@ quota_ledger::decision quota_ledger::police(const std::string& tenant,
   // earned back at rate_per_second. Successive delayed jobs drive tokens
   // further negative, so their ready_at times are spaced 1/rate apart —
   // the open-loop burst is smoothed, not reordered.
-  const double wait = (1.0 - b.tokens) / b.q.rate_per_second;
+  const double wait = (1.0 - b.tokens) / limits_.rate_per_second;
   b.tokens -= 1.0;
   delayed_.add();
   delay_hist_.record(wait);

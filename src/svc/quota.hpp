@@ -44,8 +44,8 @@ enum class policing_decision {
 
 const char* to_string(policing_decision d);
 
-/// Per-tenant limits; the service applies `service_options::default_quota`
-/// unless a per-tenant override is registered.
+/// Per-tenant limits; the service polices every tenant by
+/// `service_options::default_quota`.
 struct tenant_quota {
   double rate_per_second = 50.0;  ///< sustained jobs/second (> 0)
   double burst = 10.0;            ///< bucket capacity: max unspent credit (>= 1)
@@ -59,11 +59,9 @@ struct tenant_quota {
 /// observables.
 class quota_ledger {
  public:
-  explicit quota_ledger(tenant_quota defaults = {});
-
-  /// Install a per-tenant override (replaces the default for that tenant;
-  /// takes effect on its next police() call, existing debt preserved).
-  void set_quota(const std::string& tenant, tenant_quota q);
+  /// Every tenant gets its own bucket and in-flight count, all sized by
+  /// `limits`.
+  explicit quota_ledger(tenant_quota limits = {});
 
   struct decision {
     policing_decision action = policing_decision::admit;
@@ -75,7 +73,7 @@ class quota_ledger {
   /// Police one submission at service-clock time `now_s`. On admit/delay
   /// the tenant's in-flight count is taken immediately (the job is
   /// committed); `release` must be called exactly once when it finishes
-  /// (or is shed downstream, e.g. by deadline expiry or drain).
+  /// (or is shed downstream, e.g. by deadline expiry).
   decision police(const std::string& tenant, double now_s);
 
   /// Finish one admitted/delayed job of `tenant`.
@@ -96,17 +94,12 @@ class quota_ledger {
 
  private:
   struct bucket {
-    tenant_quota q;
     double tokens = 0.0;       ///< may go negative: delayed reservations
     double last_refill = 0.0;  ///< service-clock second of the last refill
     int in_flight = 0;
-    bool initialized = false;  ///< tokens start at burst on first police()
   };
 
-  /// Caller holds mu_.
-  bucket& bucket_locked(const std::string& tenant);
-
-  tenant_quota defaults_;
+  tenant_quota limits_;
   mutable std::mutex mu_;
   std::map<std::string, bucket> buckets_;
   obs::counter admitted_;

@@ -1,12 +1,11 @@
 ///
 /// \file scheduler.cpp
 /// \brief class_scheduler: deficit round-robin dispatch, deadline
-/// shedding, bounded queues, graceful drain.
+/// shedding, bounded queues.
 ///
 
 #include "svc/scheduler.hpp"
 
-#include <chrono>
 #include <limits>
 #include <utility>
 
@@ -26,7 +25,6 @@ class_scheduler::class_scheduler(scheduler_options opt, amt::thread_pool& pool,
 class_scheduler::enqueue_result class_scheduler::enqueue(sched_item item) {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (draining_) return enqueue_result::draining;
     const int c = static_cast<int>(item.cls);
     // The cap bounds memory in both modes; only weights/deadlines are
     // QoS-specific.
@@ -72,7 +70,6 @@ void class_scheduler::pump_locked(std::vector<pending_shed>& sheds) {
       }
     }
   }
-  if (draining_) return;
 
   while (running_ < opt_.max_concurrent) {
     int pick = -1;
@@ -144,11 +141,6 @@ void class_scheduler::pump_locked(std::vector<pending_shed>& sheds) {
   }
 }
 
-void class_scheduler::run_sheds(std::vector<pending_shed>& sheds) {
-  for (auto& s : sheds) s.shed(s.reason);
-  sheds.clear();
-}
-
 void class_scheduler::pump() { settle(false); }
 
 void class_scheduler::settle(bool item_done, const std::string& key) {
@@ -164,7 +156,8 @@ void class_scheduler::settle(bool item_done, const std::string& key) {
     // looking idle until they are done.
     ++settling_;
     lk.unlock();
-    run_sheds(sheds);
+    for (auto& s : sheds) s.shed(s.reason);
+    sheds.clear();
     lk.lock();
     --settling_;
   }
@@ -173,54 +166,14 @@ void class_scheduler::settle(bool item_done, const std::string& key) {
   idle_cv_.notify_all();
 }
 
-bool class_scheduler::idle_locked() const {
-  if (running_ > 0 || settling_ > 0) return false;
-  for (const auto& q : queues_)
-    if (!q.empty()) return false;
-  return true;
-}
-
-bool class_scheduler::idle() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return idle_locked();
-}
-
 void class_scheduler::wait_idle() {
   std::unique_lock<std::mutex> lk(mu_);
-  idle_cv_.wait(lk, [&] { return idle_locked(); });
-}
-
-class_scheduler::drain_report class_scheduler::drain(double timeout_s) {
-  std::vector<pending_shed> sheds;
-  drain_report rep;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    draining_ = true;
-    rep.in_flight = running_;
-    idle_cv_.wait_for(lk, std::chrono::duration<double>(timeout_s),
-                      [&] { return running_ == 0 && settling_ == 0; });
-    rep.still_running = running_;
-    for (auto& q : queues_) {
-      for (auto& item : q) {
-        NLH_TRACE_INSTANT("svc/shed_drained", item.seq);
-        sheds.push_back({std::move(item.shed), "drained"});
-        shed_drained_.add();
-        ++rep.abandoned;
-      }
-      q.clear();
-    }
-    ++settling_;
-  }
-  run_sheds(sheds);
-  std::lock_guard<std::mutex> lk(mu_);
-  --settling_;
-  idle_cv_.notify_all();
-  return rep;
-}
-
-bool class_scheduler::draining() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return draining_;
+  idle_cv_.wait(lk, [&] {
+    if (running_ > 0 || settling_ > 0) return false;
+    for (const auto& q : queues_)
+      if (!q.empty()) return false;
+    return true;
+  });
 }
 
 int class_scheduler::queue_depth(qos_class c) const {
@@ -256,7 +209,6 @@ void class_scheduler::metrics_into(obs::metrics_snapshot& snap) const {
     snap.add_counter("svc/sched/served/" + cls, served_[c]);
   }
   snap.add_counter("svc/sched/shed_expired", shed_expired_.value());
-  snap.add_counter("svc/sched/shed_drained", shed_drained_.value());
   snap.add_counter("svc/sched/rounds", rounds_);
   snap.add_gauge("svc/sched/running", static_cast<double>(running_));
 }

@@ -19,9 +19,7 @@
 ///   - a class queue at its `queue_cap` refuses the enqueue (the caller
 ///     fails the job fast),
 ///   - queued items whose class `deadline_seconds` has passed are shed at
-///     dispatch time (their `shed` callback fires with reason "expired"),
-///   - `drain()` stops dispatching, lets in-flight items finish (bounded
-///     by a timeout) and sheds everything still queued ("drained").
+///     dispatch time (their `shed` callback fires with reason "expired").
 ///
 /// Items delayed by quota policing carry a `ready_at_s`; they keep their
 /// queue position but are skipped until the service clock reaches it.
@@ -60,8 +58,8 @@ struct sched_item {
   /// Executes the job on a pool worker; must not throw (the service wraps
   /// job failures into its result future before handing `run` over).
   amt::unique_function<void()> run;
-  /// Fail-fast path ("expired" / "drained"); runs on the caller of
-  /// pump()/drain(), never concurrently with `run`.
+  /// Fail-fast path ("expired"); runs on the caller of pump(), never
+  /// concurrently with `run`.
   amt::unique_function<void(const std::string&)> shed;
 };
 
@@ -81,14 +79,13 @@ class class_scheduler {
                   std::function<double()> clock);
 
   enum class enqueue_result {
-    queued,      ///< accepted; will run or be shed by deadline/drain
+    queued,      ///< accepted; will run or be shed by its deadline
     queue_full,  ///< class queue at queue_cap — caller sheds the job
-    draining,    ///< drain() started — caller sheds the job
   };
 
   /// Hand one item over; on `queued` the scheduler now owns the callbacks
-  /// and fires exactly one of them eventually. On the other outcomes the
-  /// caller keeps ownership (nothing was consumed).
+  /// and fires exactly one of them eventually. On `queue_full` the caller
+  /// keeps ownership (nothing was consumed).
   enqueue_result enqueue(sched_item item);
 
   /// Dispatch every eligible item into free slots and shed expired queued
@@ -101,23 +98,6 @@ class class_scheduler {
   /// still inside the scheduler finishing one: the scheduler may be
   /// destroyed as soon as this returns.
   void wait_idle();
-  /// The condition wait_idle() waits for, polled once.
-  bool idle() const;
-
-  struct drain_report {
-    int abandoned = 0;      ///< queued items shed with reason "drained"
-    int in_flight = 0;      ///< items that were running when drain began
-    int still_running = 0;  ///< of those, still running when the timeout hit
-    bool clean() const { return still_running == 0; }
-  };
-
-  /// Stop dispatching (enqueue starts refusing with `draining`), wait up
-  /// to `timeout_s` for in-flight items, then shed everything still
-  /// queued. Idempotent; the scheduler stays drained afterwards. After a
-  /// clean drain the scheduler may be destroyed as soon as this returns.
-  drain_report drain(double timeout_s);
-
-  bool draining() const;
 
   int queue_depth(qos_class c) const;
   int running() const;
@@ -144,12 +124,10 @@ class class_scheduler {
   /// Caller holds mu_: first queued item of `c` with ready_at <= now and
   /// no running item of its key, or queue end.
   std::deque<sched_item>::iterator first_ready_locked(qos_class c, double now);
-  void run_sheds(std::vector<pending_shed>& sheds);
   /// pump() and the pool-task epilogue: free a slot (and `key`) when
   /// `item_done`, dispatch, run the resulting sheds, then broadcast under
   /// mu_.
   void settle(bool item_done, const std::string& key = {});
-  bool idle_locked() const;
 
   scheduler_options opt_;
   amt::thread_pool& pool_;
@@ -164,11 +142,9 @@ class class_scheduler {
   /// Threads running shed callbacks outside mu_; the scheduler is not idle
   /// until they are back.
   int settling_ = 0;
-  bool draining_ = false;
   std::array<std::uint64_t, qos_class_count> served_{};
   std::uint64_t rounds_ = 0;
   obs::counter shed_expired_;
-  obs::counter shed_drained_;
 };
 
 }  // namespace nlh::svc

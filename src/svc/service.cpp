@@ -45,10 +45,6 @@ std::vector<std::string> validate(const service_options& opt) {
     errs.push_back("service_options." + std::move(e));
   for (auto e : opt.default_quota.validate())
     errs.push_back("service_options.default_quota: " + std::move(e));
-  for (const auto& [tenant, q] : opt.tenant_quotas)
-    for (auto e : q.validate())
-      errs.push_back("service_options.tenant_quotas['" + tenant +
-                     "']: " + std::move(e));
   if (opt.hibernation.enabled)
     if (auto e = opt.hibernation.validate(); !e.empty())
       errs.push_back("service_options." + std::move(e));
@@ -78,7 +74,6 @@ service_loop::service_loop(service_options opt)
       sched_(scheduler_options{opt_.qos, resolved_slots(opt_)}, pool_,
              [this] { return now_s(); }),
       pool_(opt_.pool_threads) {
-  for (const auto& [tenant, q] : opt_.tenant_quotas) quota_.set_quota(tenant, q);
   if (opt_.hibernation.enabled)
     hib_ = std::make_unique<ckpt::hibernation_manager>(opt_.hibernation);
   ticker_ = std::thread([this] {
@@ -94,9 +89,9 @@ service_loop::service_loop(service_options opt)
 }
 
 service_loop::~service_loop() {
-  // Honor every accepted future first (drained queues were already shed),
-  // then stop the ticker; pool_ (declared last) joins its workers while
-  // sched_ and the histograms the tasks touch are still alive.
+  // Honor every accepted future first, then stop the ticker; pool_
+  // (declared last) joins its workers while sched_ and the histograms the
+  // tasks touch are still alive.
   wait_idle();
   {
     std::lock_guard<std::mutex> lk(tick_mu_);
@@ -153,27 +148,16 @@ amt::future<svc_result> service_loop::submit(std::string tenant, qos_class cls,
   item.key = ctx->job.session_key;
   item.run = [this, ctx] { execute(ctx); };
   item.shed = [this, ctx](const std::string& reason) {
-    fail_shed(ctx, reason,
-              reason == "expired"
-                  ? "class deadline passed before a slot freed"
-                  : "service drained before execution",
+    fail_shed(ctx, reason, "class deadline passed before a slot freed",
               /*release_quota=*/true);
   };
-  switch (sched_.enqueue(std::move(item))) {
-    case class_scheduler::enqueue_result::queued:
-      break;
-    case class_scheduler::enqueue_result::queue_full:
-      fail_shed(ctx, "queue_full",
-                "class '" + std::string(to_string(cls)) +
-                    "' queue at its cap of " +
-                    std::to_string(opt_.qos.policy(cls).queue_cap),
-                /*release_quota=*/true);
-      break;
-    case class_scheduler::enqueue_result::draining:
-      fail_shed(ctx, "draining", "service is draining; admission stopped",
-                /*release_quota=*/true);
-      break;
-  }
+  if (sched_.enqueue(std::move(item)) ==
+      class_scheduler::enqueue_result::queue_full)
+    fail_shed(ctx, "queue_full",
+              "class '" + std::string(to_string(cls)) +
+                  "' queue at its cap of " +
+                  std::to_string(opt_.qos.policy(cls).queue_cap),
+              /*release_quota=*/true);
   return fut;
 }
 
@@ -299,17 +283,7 @@ void service_loop::note_terminal() {
   last_done_s_ = now_s();
 }
 
-void service_loop::wait_idle() {
-  for (;;) {
-    sched_.pump();
-    if (sched_.idle()) return;
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-}
-
-class_scheduler::drain_report service_loop::drain(double timeout_s) {
-  return sched_.drain(timeout_s);
-}
+void service_loop::wait_idle() { sched_.wait_idle(); }
 
 service_stats service_loop::stats() const {
   service_stats st;

@@ -13,8 +13,7 @@
 /// quota-delayed jobs and deadlines firing even when no submissions or
 /// completions arrive. Every terminal outcome resolves the future: `ok`,
 /// a captured per-job error, or a fast-failed shed with a distinct
-/// `"shed (<reason>)"` error (reasons: quota, queue_full, expired,
-/// drained, draining).
+/// `"shed (<reason>)"` error (reasons: quota, queue_full, expired).
 ///
 /// Latency accounting is client-centric: the per-class step-latency
 /// histogram measures each step from the *previous result the client saw*
@@ -95,9 +94,8 @@ struct svc_result {
 
 struct service_options {
   qos_config qos;
-  /// Policing defaults for tenants without an explicit entry below.
+  /// The limits every tenant is policed by.
   tenant_quota default_quota;
-  std::map<std::string, tenant_quota> tenant_quotas;
   /// Workers of the shared pool; each running job occupies one for its
   /// whole duration.
   unsigned pool_threads = 4;
@@ -138,8 +136,7 @@ class service_loop {
  public:
   /// Throws std::invalid_argument when validate(opt) reports problems.
   explicit service_loop(service_options opt = {});
-  /// Finishes every accepted job (drained queues stay shed), then joins
-  /// the ticker and pool.
+  /// Finishes every accepted job, then joins the ticker and pool.
   ~service_loop();
 
   service_loop(const service_loop&) = delete;
@@ -153,10 +150,6 @@ class service_loop {
 
   /// Block until every accepted job has reached a terminal state.
   void wait_idle();
-
-  /// Graceful shutdown: stop admission, finish in-flight jobs (bounded by
-  /// `timeout_s`), shed everything still queued with reason "drained".
-  class_scheduler::drain_report drain(double timeout_s);
 
   /// Seconds on the service clock (steady, 0 at construction) — the time
   /// base of every svc histogram and quota decision.
@@ -172,7 +165,6 @@ class service_loop {
 
   const service_options& options() const { return opt_; }
   amt::thread_pool& pool() { return pool_; }
-  quota_ledger& quota() { return quota_; }
   class_scheduler& scheduler() { return sched_; }
   /// The tenant hibernation manager; null unless
   /// service_options::hibernation.enabled.

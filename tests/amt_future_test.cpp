@@ -1,5 +1,5 @@
 // Tests for the futurization primitives: future/promise, then-continuations,
-// when_all, exception propagation.
+// exception propagation.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,9 @@ TEST(Future, ReadyAfterSetValue) {
 }
 
 TEST(Future, GetConsumes) {
-  auto f = amt::make_ready_future<int>(3);
+  amt::promise<int> p;
+  p.set_value(3);
+  auto f = p.get_future();
   EXPECT_EQ(f.get(), 3);
   EXPECT_FALSE(f.valid());
 }
@@ -36,14 +38,6 @@ TEST(Future, VoidSpecialization) {
   f.get();  // no throw
 }
 
-TEST(Future, MakeReadyFuture) {
-  auto f = amt::make_ready_future<std::string>(std::string("hi"));
-  EXPECT_TRUE(f.is_ready());
-  EXPECT_EQ(f.get(), "hi");
-  auto v = amt::make_ready_future();
-  EXPECT_TRUE(v.is_ready());
-}
-
 TEST(Future, MoveOnlyValue) {
   amt::promise<std::unique_ptr<int>> p;
   auto f = p.get_future();
@@ -54,7 +48,9 @@ TEST(Future, MoveOnlyValue) {
 }
 
 TEST(Future, ThenOnReadyRunsInline) {
-  auto f = amt::make_ready_future<int>(10);
+  amt::promise<int> p;
+  p.set_value(10);
+  auto f = p.get_future();
   bool ran = false;
   auto g = f.then([&](amt::future<int> r) {
     ran = true;
@@ -99,7 +95,9 @@ TEST(Future, ExceptionPropagatesThroughThen) {
 }
 
 TEST(Future, ThrowingContinuationSetsException) {
-  auto f = amt::make_ready_future<int>(1).then(
+  amt::promise<int> p;
+  p.set_value(1);
+  auto f = p.get_future().then(
       [](amt::future<int>) -> int { throw std::logic_error("inside"); });
   EXPECT_THROW(f.get(), std::logic_error);
 }
@@ -121,84 +119,14 @@ TEST(Future, WaitBlocksUntilReady) {
   t.join();
 }
 
-TEST(WhenAll, EmptyIsImmediatelyReady) {
-  auto f = amt::when_all(std::vector<amt::future<int>>{});
-  EXPECT_TRUE(f.is_ready());
-  EXPECT_TRUE(f.get().empty());
-}
-
-TEST(WhenAll, AllReadyInputs) {
-  std::vector<amt::future<int>> fs;
-  for (int i = 0; i < 5; ++i) fs.push_back(amt::make_ready_future<int>(i));
-  auto all = amt::when_all(std::move(fs));
-  ASSERT_TRUE(all.is_ready());
-  auto out = all.get();
-  ASSERT_EQ(out.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)].get(), i);
-}
-
-TEST(WhenAll, MixedReadiness) {
-  amt::promise<int> p1, p2;
-  std::vector<amt::future<int>> fs;
-  fs.push_back(p1.get_future());
-  fs.push_back(amt::make_ready_future<int>(7));
-  fs.push_back(p2.get_future());
-  auto all = amt::when_all(std::move(fs));
-  EXPECT_FALSE(all.is_ready());
-  p1.set_value(1);
-  EXPECT_FALSE(all.is_ready());
-  p2.set_value(2);
-  ASSERT_TRUE(all.is_ready());
-  auto out = all.get();
-  EXPECT_EQ(out[0].get(), 1);
-  EXPECT_EQ(out[1].get(), 7);
-  EXPECT_EQ(out[2].get(), 2);
-}
-
-TEST(WhenAll, VoidFutures) {
-  amt::promise<void> p;
-  std::vector<amt::future<void>> fs;
-  fs.push_back(p.get_future());
-  fs.push_back(amt::make_ready_future());
-  auto all = amt::when_all(std::move(fs));
-  EXPECT_FALSE(all.is_ready());
-  p.set_value();
-  EXPECT_TRUE(all.is_ready());
-}
-
-TEST(WhenAll, ManyFuturesFromThreads) {
-  constexpr int n = 64;
-  std::vector<amt::promise<int>> ps(n);
-  std::vector<amt::future<int>> fs;
-  for (auto& p : ps) fs.push_back(p.get_future());
-  auto all = amt::when_all(std::move(fs));
-  std::thread t([&] {
-    for (int i = 0; i < n; ++i) ps[static_cast<std::size_t>(i)].set_value(i);
-  });
-  auto out = all.get();
-  t.join();
-  ASSERT_EQ(out.size(), static_cast<std::size_t>(n));
-  long long sum = 0;
-  for (auto& f : out) sum += f.get();
-  EXPECT_EQ(sum, n * (n - 1) / 2);
-}
-
-TEST(WaitAll, BlocksForAll) {
-  amt::promise<void> p;
-  std::vector<amt::future<void>> fs;
-  fs.push_back(amt::make_ready_future());
-  fs.push_back(p.get_future());
-  std::thread t([&] { p.set_value(); });
-  amt::wait_all(fs);
-  for (auto& f : fs) EXPECT_TRUE(f.is_ready());
-  t.join();
-}
-
 TEST(Future, PaperListingOneExample) {
   // Listing 1 of the paper: a+b+c+d via two async adds. Reproduced with
   // promises standing in for async (the pool version lives in amt_pool_test).
   auto add = [](int x, int y) { return x + y; };
-  auto a_add_b = amt::make_ready_future<int>(add(1, 2));
-  auto c_add_d = amt::make_ready_future<int>(add(3, 4));
+  amt::promise<int> p_ab, p_cd;
+  p_ab.set_value(add(1, 2));
+  p_cd.set_value(add(3, 4));
+  auto a_add_b = p_ab.get_future();
+  auto c_add_d = p_cd.get_future();
   EXPECT_EQ(a_add_b.get() + c_add_d.get(), 10);
 }

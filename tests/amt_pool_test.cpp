@@ -1,4 +1,4 @@
-// Tests for the work-stealing thread pool, async/dataflow launch and
+// Tests for the work-stealing thread pool, async/dataflow_one launch and
 // busy-time accounting.
 
 #include <gtest/gtest.h>
@@ -88,32 +88,6 @@ TEST(ThreadPool, HelpingWaitSingleThreadNoDeadlock) {
   EXPECT_EQ(f.get(), 5);
 }
 
-TEST(ThreadPool, DataflowRunsAfterDeps) {
-  amt::thread_pool pool(2);
-  amt::promise<int> p1, p2;
-  std::vector<amt::future<int>> deps;
-  deps.push_back(p1.get_future());
-  deps.push_back(p2.get_future());
-  auto f = amt::dataflow(pool, std::move(deps), [](std::vector<amt::future<int>> fs) {
-    return fs[0].get() + fs[1].get();
-  });
-  EXPECT_FALSE(f.is_ready());
-  p1.set_value(30);
-  p2.set_value(12);
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, DataflowVoid) {
-  amt::thread_pool pool(1);
-  std::atomic<bool> ran{false};
-  std::vector<amt::future<void>> deps;
-  deps.push_back(amt::make_ready_future());
-  auto f = amt::dataflow(pool, std::move(deps),
-                         [&](std::vector<amt::future<void>>) { ran = true; });
-  f.get();
-  EXPECT_TRUE(ran.load());
-}
-
 TEST(ThreadPool, BusyTimeAccumulates) {
   amt::thread_pool pool(1);
   pool.reset_busy_time();
@@ -144,7 +118,7 @@ TEST(ThreadPool, ManySmallTasksAcrossWorkers) {
   fs.reserve(500);
   for (int i = 0; i < 500; ++i)
     fs.push_back(amt::async(pool, [&sum, i] { sum += i; }));
-  amt::wait_all(fs);
+  for (const auto& f : fs) f.wait();
   EXPECT_EQ(sum.load(), 500LL * 499 / 2);
 }
 
@@ -155,7 +129,7 @@ TEST(ThreadPool, DestructionDrainsCleanly) {
     std::vector<amt::future<void>> fs;
     for (int i = 0; i < 50; ++i)
       fs.push_back(amt::async(pool, [&] { ++executed; }));
-    amt::wait_all(fs);
+    for (const auto& f : fs) f.wait();
   }  // destructor joins workers
   EXPECT_EQ(executed.load(), 50);
 }

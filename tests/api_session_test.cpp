@@ -96,15 +96,6 @@ TEST(ScenarioRegistry, UnknownNameThrowsListingKnownOnes) {
   }
 }
 
-TEST(ScenarioRegistry, UserRegistrationIsVisible) {
-  api::register_scenario("test_pulse", [] {
-    return std::make_shared<const api::gaussian_pulse_scenario>(0.25, 0.25, 0.05);
-  });
-  EXPECT_EQ(api::make_scenario("test_pulse")->name(), "gaussian_pulse");
-  const auto names = api::scenario_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "test_pulse"), names.end());
-}
-
 TEST(ScenarioRegistry, MaskAndWorkHooks) {
   const auto lshape = api::make_scenario("lshape");
   const auto mask = lshape->sd_mask(4, 4);
@@ -134,38 +125,6 @@ TEST(RegistryErrors, UnknownKeyThrowsListingRegisteredScenarios) {
     for (const char* builtin : {"crack", "gaussian_pulse", "lshape", "manufactured"})
       EXPECT_NE(msg.find(builtin), std::string::npos) << msg;
   }
-}
-
-TEST(RegistryErrors, DuplicateRegistrationReplacesTheFactory) {
-  api::register_scenario("dup_probe", [] {
-    return std::make_shared<const api::gaussian_pulse_scenario>(0.2, 0.2, 0.05);
-  });
-  // Same key again: last registration wins (documented replace semantics).
-  api::register_scenario("dup_probe", [] {
-    return std::make_shared<const api::manufactured_scenario>();
-  });
-  const auto scn = api::make_scenario("dup_probe");
-  EXPECT_EQ(scn->name(), "manufactured");
-  EXPECT_TRUE(scn->has_exact());
-  // The key appears once, not twice.
-  const auto names = api::scenario_names();
-  EXPECT_EQ(std::count(names.begin(), names.end(), "dup_probe"), 1);
-}
-
-using RegistryDeathTest = ::testing::Test;
-
-TEST(RegistryDeathTest, NullFactoryAborts) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH(api::register_scenario("broken", api::scenario_factory{}),
-               "null factory");
-}
-
-TEST(RegistryDeathTest, EmptyNameAborts) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH(api::register_scenario("", [] {
-                 return std::make_shared<const api::manufactured_scenario>();
-               }),
-               "empty name");
 }
 
 TEST(RegistryErrors, NullCustomScenarioFallsBackToTheRegistryKey) {

@@ -38,7 +38,6 @@ std::vector<double> serial_reference(const dist::dist_config& cfg, int steps) {
   scfg.conductivity = cfg.conductivity;
   scfg.dt = cfg.dt;
   scfg.dt_safety = cfg.dt_safety;
-  scfg.num_steps = steps;
   scfg.kind = cfg.kind;
   scfg.backend = cfg.backend;
   nl::serial_solver s(scfg);

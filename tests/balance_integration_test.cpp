@@ -177,7 +177,6 @@ TEST(RealSolverBalancing, BusyDrivenMigrationKeepsSolutionCorrect) {
   nlh::nonlocal::solver_config scfg;
   scfg.n = 18;
   scfg.epsilon_factor = 2;
-  scfg.num_steps = 4;
   nlh::nonlocal::serial_solver ref(scfg);
   ref.set_initial_condition();
   for (int k = 0; k < 4; ++k) ref.step(k);

@@ -12,7 +12,11 @@
 #include <filesystem>
 #include <limits>
 #include <random>
+#include <set>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "api/session.hpp"
 #include "ckpt/codec.hpp"
@@ -246,8 +250,8 @@ TEST(CkptCodecDeathTest, MalformedFramesAbort) {
 // ------------------------------------------------------------------ store --
 
 TEST(CkptStore, PutGetEraseRoundTrip) {
-  // Destruction removes the blobs, so reusing a fixed scratch path across
-  // runs is fine.
+  // Destruction removes the blobs and then the emptied directory, so
+  // reusing a fixed scratch path across runs is fine.
   const auto dir = std::filesystem::temp_directory_path() / "nlh-ckpt-store-test";
   const auto a_file = dir / "a.ckpt";
   const auto b_file = dir / "b.ckpt";
@@ -278,6 +282,7 @@ TEST(CkptStore, PutGetEraseRoundTrip) {
     EXPECT_TRUE(std::filesystem::exists(b_file));
   }
   EXPECT_FALSE(std::filesystem::exists(b_file));
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 // ----------------------------------------------------- hibernation manager --
@@ -610,6 +615,41 @@ TEST(CkptService, SameKeyJobsRunSeriallyAndAccumulateSteps) {
   }
   EXPECT_EQ(max_steps, 12);
   EXPECT_EQ(loop.tenant_count(), 1u);
+}
+
+// Each hibernation manager makes its own nlh-hibernate-<pid>-<n> scratch
+// directory under the temp path; a service that hibernated tenants must
+// take it away again. Entries of that name already there (left by an
+// earlier process with the same pid) are not this process's.
+TEST(CkptService, HibernatingServicesLeaveNoScratchDirectory) {
+  const std::string prefix =
+      "nlh-hibernate-" + std::to_string(::getpid()) + "-";
+  const auto scratch_dirs = [&] {
+    std::set<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator(
+             std::filesystem::temp_directory_path())) {
+      auto name = e.path().filename().string();
+      if (name.rfind(prefix, 0) == 0) names.insert(std::move(name));
+    }
+    return names;
+  };
+  const auto before = scratch_dirs();
+
+  api::session_options so;
+  so.scenario = "gaussian_pulse";
+  so.n = 16;
+  so.epsilon_factor = 2;
+  for (int round = 0; round < 8; ++round) {
+    svc::service_loop loop(tenant_service(1, 1));
+    // Two tenants over a resident cap of one: one of them is hibernated.
+    for (const char* key : {"a", "b"})
+      loop.submit(key, svc::qos_class::batch, tenant_job(so, key, 1));
+    loop.wait_idle();
+    EXPECT_GE(loop.hibernation()->current_stats().hibernates, 1u);
+  }
+
+  for (const auto& name : scratch_dirs())
+    EXPECT_EQ(before.count(name), 1u) << name << " left behind";
 }
 
 TEST(CkptService, KeylessJobsIgnoreHibernation) {

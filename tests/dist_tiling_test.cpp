@@ -112,14 +112,6 @@ TEST(Ownership, FromPartitionAndCounts) {
   EXPECT_EQ(own.sds_of(1), (std::vector<int>{2, 3}));
 }
 
-TEST(Ownership, SpBoundaryDetection) {
-  dist::tiling t(2, 2, 4, 1);
-  auto own = dist::ownership_map::from_partition(t, 2, {0, 0, 1, 1});
-  EXPECT_TRUE(own.is_sp_boundary(t, 0));  // all SDs touch the other node here
-  dist::ownership_map solo = dist::ownership_map::single_node(t);
-  EXPECT_FALSE(solo.is_sp_boundary(t, 0));
-}
-
 TEST(Ownership, NodeAdjacency) {
   // 3x3 grid split into three vertical strips: 0-1 and 1-2 adjacent (and
   // 0-2 via diagonals of the middle column? no: strips of width 1, columns

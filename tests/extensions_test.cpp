@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "api/session.hpp"
 #include "balance/sim_driver.hpp"
 #include "dist/dist_solver.hpp"
 #include "dist/sim_dist.hpp"
@@ -104,12 +105,14 @@ TEST(BulkSyncSim, HighLatencyHurtsBulkSyncMore) {
 
 namespace {
 double final_error(double dt_safety, int steps) {
-  nl::solver_config cfg;
-  cfg.n = 16;
-  cfg.epsilon_factor = 2;
-  cfg.num_steps = steps;
-  cfg.dt_safety = dt_safety;
-  return nl::serial_solver(cfg).run().final_ek;
+  nlh::api::session_options opt;
+  opt.mode = nlh::api::execution_mode::serial;
+  opt.n = 16;
+  opt.epsilon_factor = 2;
+  opt.dt_safety = dt_safety;
+  nlh::api::session session(opt);
+  session.solver().run(steps);
+  return session.solver().error_ek_vs_exact();
 }
 }  // namespace
 
@@ -127,9 +130,9 @@ TEST(TimeIntegrators, AllStayStableAndFinite) {
   nl::solver_config cfg;
   cfg.n = 12;
   cfg.epsilon_factor = 3;
-  cfg.num_steps = 15;
   nl::serial_solver s(cfg);
-  s.run();
+  s.set_initial_condition();
+  for (int k = 0; k < 15; ++k) s.step(k);
   for (double v : s.field()) EXPECT_TRUE(std::isfinite(v));
 }
 

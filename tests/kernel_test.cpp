@@ -13,6 +13,7 @@
 #include <cstring>
 #include <vector>
 
+#include "api/session.hpp"
 #include "nonlocal/grid2d.hpp"
 #include "nonlocal/influence.hpp"
 #include "nonlocal/kernel/backend.hpp"
@@ -589,23 +590,36 @@ TEST(KernelAvx512, NarrowRectsMatchWideRectAndClassOrderedChain) {
 TEST(KernelSolvers, SerialSolverErrorIsBackendIndependent) {
   // The measured discretization error must not depend on which backend
   // evaluated the operator (beyond FP noise far below the error itself).
-  nl::solver_config cfg;
-  cfg.n = 24;
-  cfg.epsilon_factor = 3;
-  cfg.num_steps = 10;
-
-  const auto saved = nl::kernel_default_backend();
-  nl::set_kernel_default_backend(nl::kernel_backend::scalar);
-  const auto ref = nl::serial_solver(cfg).run();
-  for (const auto b : {nl::kernel_backend::row_run, nl::kernel_backend::simd,
-                       nl::kernel_backend::avx512}) {
-    nl::set_kernel_default_backend(b);
-    const auto res = nl::serial_solver(cfg).run();
+  // Each serial session pins its own backend; e = sum_k e_k is summed by
+  // the observer after every step, as bench/fig08 does.
+  struct errors {
+    double total_error_e = 0.0;
+    double final_ek = 0.0;
+  };
+  const auto run_on = [](const char* backend) {
+    nlh::api::session_options opt;
+    opt.mode = nlh::api::execution_mode::serial;
+    opt.n = 24;
+    opt.epsilon_factor = 3;
+    opt.kernel_backend = backend;
+    nlh::api::session session(opt);
+    auto& solver = session.solver();
+    errors e;
+    solver.set_observer([&](const nlh::api::step_event&) {
+      e.total_error_e += solver.error_ek_vs_exact();
+    });
+    solver.run(10);
+    solver.set_observer(nullptr);
+    e.final_ek = solver.error_ek_vs_exact();
+    return e;
+  };
+  const auto ref = run_on("scalar");
+  for (const char* b : {"row_run", "simd", "avx512"}) {
+    const auto res = run_on(b);
     EXPECT_NEAR(res.total_error_e, ref.total_error_e,
                 1e-9 * std::abs(ref.total_error_e));
     EXPECT_NEAR(res.final_ek, ref.final_ek, 1e-9 * std::abs(ref.final_ek));
   }
-  nl::set_kernel_default_backend(saved);
 }
 
 TEST(KernelSolvers, SolverKernelCountersFollowTheDerivedGeometry) {
@@ -615,11 +629,11 @@ TEST(KernelSolvers, SolverKernelCountersFollowTheDerivedGeometry) {
   nl::solver_config cfg;
   cfg.n = 40;
   cfg.epsilon_factor = 8;
-  cfg.num_steps = 5;
+  const int num_steps = 5;
 
   nl::serial_solver solver(cfg);
   solver.set_initial_condition();
-  for (int k = 0; k < cfg.num_steps; ++k) solver.step(k);
+  for (int k = 0; k < num_steps; ++k) solver.step(k);
 
   const auto& plan = solver.kernel_plan();
   EXPECT_EQ(plan.blocking().row_block,
@@ -627,9 +641,9 @@ TEST(KernelSolvers, SolverKernelCountersFollowTheDerivedGeometry) {
   EXPECT_EQ(plan.blocking().col_tile,
             nl::compute_block_geometry(plan.reach()).col_tile);
   const auto& ks = solver.kernel_stats();
-  EXPECT_EQ(ks.applies, static_cast<std::uint64_t>(cfg.num_steps));
-  EXPECT_EQ(ks.dps, static_cast<std::uint64_t>(cfg.num_steps) * cfg.n * cfg.n);
-  EXPECT_EQ(ks.blocks, static_cast<std::uint64_t>(cfg.num_steps) *
+  EXPECT_EQ(ks.applies, static_cast<std::uint64_t>(num_steps));
+  EXPECT_EQ(ks.dps, static_cast<std::uint64_t>(num_steps) * cfg.n * cfg.n);
+  EXPECT_EQ(ks.blocks, static_cast<std::uint64_t>(num_steps) *
                            static_cast<std::uint64_t>(nl::count_blocks(
                                plan.blocking(), 0, cfg.n, 0, cfg.n)));
   EXPECT_GT(ks.seconds, 0.0);

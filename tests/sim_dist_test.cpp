@@ -187,12 +187,3 @@ TEST(SimDist, BusyFractionAccountsForCores) {
   EXPECT_NEAR(res.node_busy_fraction[0], 1.0, 1e-9);
   EXPECT_NEAR(res.node_busy[0], 4.0 * res.makespan, 1e-6);
 }
-
-TEST(SimDist, SdStepWorkHelper) {
-  dist::tiling t(2, 2, 10, 2);
-  dist::sim_cost_model cost;
-  cost.work_per_dp = 2.0;
-  EXPECT_DOUBLE_EQ(dist::sd_step_work(t, 0, cost), 200.0);
-  cost.sd_work_scale = {0.5, 1, 1, 1};
-  EXPECT_DOUBLE_EQ(dist::sd_step_work(t, 0, cost), 100.0);
-}

@@ -1,11 +1,12 @@
 // Tests for the src/svc/ QoS front-end (docs/service.md): class
 // parsing/validation, the quota ledger's admit/delay/shed decisions under a
-// test-controlled clock, deficit-round-robin dispatch order and deadline /
-// drain shedding in class_scheduler, and the service_loop end-to-end
-// contracts — interactive work is never starved behind a soak backlog,
-// shed jobs fail fast with a distinct "shed (<reason>)" error, a tenant
-// over its rate but under its in-flight cap is delayed rather than shed,
-// graceful drain, persistent tenants (one job per session key at a time),
+// test-controlled clock, deficit-round-robin dispatch order and deadline
+// shedding in class_scheduler, and the service_loop end-to-end contracts —
+// interactive work is never starved behind a soak backlog, shed jobs fail
+// fast with a distinct "shed (<reason>)" error, a tenant over its rate but
+// under its in-flight cap is delayed rather than shed, wait_idle() returns
+// only once every job is terminal, persistent tenants (one job per session
+// key at a time),
 // concurrent mixed-backend jobs keeping serial == distributed bitwise, and
 // the deterministic traffic generator feeding it all.
 
@@ -17,6 +18,7 @@
 #include <cmath>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -111,8 +113,7 @@ TEST(Quota, ShedsAtInFlightCapAndRecoversOnRelease) {
   q.rate_per_second = 1e6;
   q.burst = 100.0;
   q.max_in_flight = 2;
-  svc::quota_ledger ledger;
-  ledger.set_quota("greedy", q);
+  svc::quota_ledger ledger(q);
 
   EXPECT_EQ(ledger.police("greedy", 0.0).action, svc::policing_decision::admit);
   EXPECT_EQ(ledger.police("greedy", 0.0).action, svc::policing_decision::admit);
@@ -314,24 +315,19 @@ TEST(Scheduler, QuotaDelayedItemsWaitForTheirReadyTime) {
   EXPECT_TRUE(ran.load());
 }
 
-TEST(Scheduler, QueueCapRefusesAndDrainShedsTheBacklog) {
+TEST(Scheduler, QueueCapRefusesTheOverflow) {
   svc::qos_config qos;
   qos.soak.queue_cap = 2;
   sched_fixture f(qos);
   f.enqueue_gate();  // occupies the slot; everything below stays queued
 
-  int queued = 0, refused = 0, drained = 0;
-  std::mutex mu;
+  int queued = 0, refused = 0;
   for (int i = 0; i < 4; ++i) {
     svc::sched_item item;
     item.cls = svc::qos_class::soak;
     item.seq = 1 + static_cast<std::uint64_t>(i);
-    item.run = [] { FAIL() << "drained item must never run"; };
-    item.shed = [&mu, &drained](const std::string& reason) {
-      std::lock_guard<std::mutex> lk(mu);
-      EXPECT_EQ(reason, "drained");
-      ++drained;
-    };
+    item.run = [] {};
+    item.shed = [](const std::string&) {};
     const auto r = f.sched.enqueue(std::move(item));
     if (r == svc::class_scheduler::enqueue_result::queued)
       ++queued;
@@ -340,24 +336,6 @@ TEST(Scheduler, QueueCapRefusesAndDrainShedsTheBacklog) {
   }
   EXPECT_EQ(queued, 2);
   EXPECT_EQ(refused, 2);
-
-  // Drain with the gate still blocking: the timeout expires, the backlog
-  // is shed, and the report says one item is still running.
-  const auto rep = f.sched.drain(0.05);
-  EXPECT_EQ(rep.abandoned, 2);
-  EXPECT_EQ(rep.in_flight, 1);
-  EXPECT_EQ(rep.still_running, 1);
-  EXPECT_FALSE(rep.clean());
-  EXPECT_EQ(drained, 2);
-  EXPECT_TRUE(f.sched.draining());
-
-  // Post-drain enqueues are refused.
-  svc::sched_item late;
-  late.cls = svc::qos_class::batch;
-  late.run = [] {};
-  late.shed = [](const std::string&) {};
-  EXPECT_EQ(f.sched.enqueue(std::move(late)),
-            svc::class_scheduler::enqueue_result::draining);
 
   f.gate_open = true;
   f.sched.wait_idle();
@@ -470,7 +448,7 @@ TEST(Service, TenantAtInFlightCapIsShedFastWithADistinctError) {
   tight.rate_per_second = 1e6;
   tight.burst = 100.0;
   tight.max_in_flight = 1;
-  opt.tenant_quotas["greedy"] = tight;
+  opt.default_quota = tight;
   svc::service_loop loop(opt);
 
   auto f1 = loop.submit("greedy", svc::qos_class::batch, small_job(30, 32));
@@ -490,7 +468,7 @@ TEST(Service, OverRateTenantUnderCapIsDelayedNotShed) {
   paced.rate_per_second = 50.0;  // 20 ms between tokens once the burst is spent
   paced.burst = 1.0;
   paced.max_in_flight = 100;
-  opt.tenant_quotas["pacer"] = paced;
+  opt.default_quota = paced;
   svc::service_loop loop(opt);
 
   std::vector<nlh::amt::future<svc::svc_result>> futs;
@@ -506,35 +484,35 @@ TEST(Service, OverRateTenantUnderCapIsDelayedNotShed) {
   EXPECT_GE(st.quota_delayed, 3u);  // everything past the 1-token burst
 }
 
-TEST(Service, DrainFinishesInFlightAndShedsTheQueue) {
-  svc::service_options opt;
-  opt.pool_threads = 1;
-  svc::service_loop loop(opt);
-
-  std::vector<nlh::amt::future<svc::svc_result>> futs;
-  for (int i = 0; i < 6; ++i)
-    futs.push_back(loop.submit("t", svc::qos_class::batch, small_job(30, 32)));
-  const auto rep = loop.drain(30.0);
-  EXPECT_TRUE(rep.clean());
-  EXPECT_GE(rep.abandoned, 1);
-
-  int ok = 0, drained = 0;
-  for (auto& f : futs) {
-    const auto r = f.get();
-    if (r.ok) ++ok;
-    if (r.shed) {
-      EXPECT_EQ(r.error.rfind("shed (drained)", 0), 0u) << r.error;
-      ++drained;
+// A tenant over its rate has its jobs quota-delayed: they sit queued until
+// their ready time, and only the ticker's pump can start them. wait_idle()
+// must still return only once every job is terminal, so the loop can be
+// destroyed right after it (ThreadSanitizer reports a waiter that returns
+// while a worker's epilogue is still inside the scheduler).
+TEST(Service, WaitIdleReturnsOnlyOnceQuotaDelayedJobsAreTerminal) {
+  for (int round = 0; round < 200; ++round) {
+    svc::service_options opt;
+    opt.pool_threads = 1;
+    opt.default_quota.rate_per_second = 200.0;  // 5 ms between tokens
+    opt.default_quota.burst = 1.0;
+    opt.default_quota.max_in_flight = 100;
+    auto loop = std::make_unique<svc::service_loop>(opt);
+    std::vector<nlh::amt::future<svc::svc_result>> futs;
+    for (int i = 0; i < 3; ++i)
+      futs.push_back(loop->submit("pacer", svc::qos_class::batch,
+                                  small_job(1)));
+    loop->wait_idle();
+    for (const auto& f : futs) ASSERT_TRUE(f.is_ready()) << "round " << round;
+    const auto delayed = loop->stats().quota_delayed;
+    loop.reset();
+    // Past the 1-token burst; a submitter stalled for a whole token
+    // interval could see one more admitted.
+    EXPECT_GE(delayed, 1u) << "round " << round;
+    for (auto& f : futs) {
+      const auto r = f.get();
+      EXPECT_TRUE(r.ok) << r.error;
     }
   }
-  EXPECT_GE(ok, 1);                 // the in-flight job finished
-  EXPECT_EQ(drained, rep.abandoned);
-  EXPECT_EQ(ok + drained, 6);
-
-  // Admission stays closed after the drain.
-  const auto late = loop.submit("t", svc::qos_class::batch, small_job()).get();
-  EXPECT_TRUE(late.shed);
-  EXPECT_EQ(late.error.rfind("shed (draining)", 0), 0u) << late.error;
 }
 
 // ------------------------------------------------------ jobs and tenants --
@@ -805,11 +783,11 @@ TEST(Traffic, ReplayDrivesTheServiceToATerminalStateForEveryArrival) {
   EXPECT_EQ(accounted, 60u);
 }
 
-TEST(Scheduler, CanBeDestroyedRightAfterWaitIdleOrDrain) {
+TEST(Scheduler, CanBeDestroyedRightAfterWaitIdle) {
   // A worker finishes an item in a pool-task epilogue that still uses the
   // scheduler: it frees the slot, dispatches, sheds expired work through
-  // callbacks and wakes the waiters. wait_idle() and drain() must not
-  // return before that epilogue is done, or the owner destroys the
+  // callbacks and wakes the waiters. wait_idle() must not return before
+  // that epilogue is done, or the owner destroys the
   // scheduler under it (ThreadSanitizer reports the race, AddressSanitizer
   // the use after free). Every round destroys its scheduler right away;
   // odd rounds also expire queued interactive work so the epilogue sheds.
@@ -834,10 +812,7 @@ TEST(Scheduler, CanBeDestroyedRightAfterWaitIdleOrDrain) {
       ASSERT_EQ(sched->enqueue(std::move(item)),
                 svc::class_scheduler::enqueue_result::queued);
     }
-    if (round % 3 == 2)
-      EXPECT_TRUE(sched->drain(10.0).clean());
-    else
-      sched->wait_idle();
+    sched->wait_idle();
     sched.reset();
     EXPECT_EQ(ran.load() + shed.load(), 4) << "round " << round;
   }
